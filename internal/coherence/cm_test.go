@@ -276,6 +276,54 @@ func TestFenceSynchronousWhenIdle(t *testing.T) {
 	}
 }
 
+// TestFenceWaiterAddedDuringDrain checks that a fence callback which
+// writes and fences again is not lost: its second waiter joins the
+// fresh list and fires only when that write retires.
+func TestFenceWaiterAddedDuringDrain(t *testing.T) {
+	r := newRig(t, 2, 1)
+	frames := r.page(1)
+	g := GAddr{1, frames[1], 0}
+	var firstAt, secondAt sim.Cycles
+	r.cms[0].Write(g, 1, noopAccept)
+	r.cms[0].Fence(func() {
+		firstAt = r.eng.Now()
+		r.cms[0].Write(g, 2, noopAccept)
+		r.cms[0].Fence(func() { secondAt = r.eng.Now() })
+	})
+	r.eng.Run()
+	if firstAt == 0 || secondAt <= firstAt {
+		t.Fatalf("fences completed at %d and %d, want 0 < first < second", firstAt, secondAt)
+	}
+	if v := r.mems[1].Read(frames[1], 0); v != 2 {
+		t.Fatalf("master holds %d, want 2", v)
+	}
+}
+
+// TestFenceWaitAllocFree pins a Fence that has to wait for an
+// outstanding write at zero allocations once warm: the write goes
+// from a replica to the master of a 4-copy page, the update runs down
+// the copy list and the ack wakes the waiter.
+func TestFenceWaitAllocFree(t *testing.T) {
+	r := newRig(t, 4, 4)
+	frames := r.page(5, 6, 9, 10)
+	fenced := false
+	fence := func() { fenced = true }
+	v := memory.Word(0)
+	avg := testing.AllocsPerRun(50, func() {
+		v++
+		fenced = false
+		r.cms[6].Write(GAddr{6, frames[6], uint32(v) & memory.OffMask}, v, noopAccept)
+		r.cms[6].Fence(fence)
+		r.eng.Run()
+	})
+	if !fenced {
+		t.Fatal("fence never completed")
+	}
+	if avg != 0 {
+		t.Fatalf("waiting fence allocates %v objects per run, want 0", avg)
+	}
+}
+
 func TestRMWFaddLocalMaster(t *testing.T) {
 	r := newRig(t, 2, 1)
 	frames := r.page(0, 1)

@@ -46,16 +46,16 @@ func benchSyncLoop(b *testing.B, mode proc.Mode, switchCost int) {
 	}
 }
 
-// BenchmarkSyncVerifyRunToBlock exercises the verify-poll and
-// remote-wait fast paths in the paper's run-to-block mode.
+// BenchmarkSyncVerifyRunToBlock exercises the verify-poll and remote
+// waits in the paper's run-to-block mode.
 func BenchmarkSyncVerifyRunToBlock(b *testing.B) {
 	benchSyncLoop(b, proc.RunToBlock, 0)
 }
 
 // BenchmarkSyncVerifySwitchOnSync adds the context-switch dispatch to
-// every sync issue — the AdvanceIf fast path in yield() collapses the
-// switch to a clock advance whenever the thread is its processor's
-// only runnable work.
+// every sync issue: each issue parks the thread and re-dispatches it
+// after the switch cost, even when it is its processor's only
+// runnable work.
 func BenchmarkSyncVerifySwitchOnSync(b *testing.B) {
 	benchSyncLoop(b, proc.SwitchOnSync, 40)
 }

@@ -43,13 +43,13 @@ const (
 	fuzzOps   = 300
 )
 
-// runRandom executes a seeded random program — every node runs one
-// thread issuing a mixed stream of reads, writes, delayed RMWs,
-// fences and compute against a shared page set, some pages replicated
-// — on the given shard count, and returns its digest. Optional mods
-// mutate the machine config before construction (contention, an
-// observer, ...).
-func runRandom(t *testing.T, shards int, seed int64, faults mesh.FaultConfig, batchWrites int, mods ...func(*core.Config)) digest {
+// runRandom executes a seeded random program — every node runs
+// threads threads, each issuing a mixed stream of reads, writes,
+// delayed RMWs, fences and compute against a shared page set, some
+// pages replicated — on the given shard count, and returns its digest.
+// Optional mods mutate the machine config before construction
+// (contention, an observer, SwitchOnSync, ...).
+func runRandom(t *testing.T, shards int, seed int64, faults mesh.FaultConfig, batchWrites, threads int, mods ...func(*core.Config)) digest {
 	t.Helper()
 	cfg := core.DefaultConfig(fuzzMeshW, fuzzMeshH)
 	cfg.Shards = shards
@@ -76,12 +76,14 @@ func runRandom(t *testing.T, shards int, seed int64, faults mesh.FaultConfig, ba
 		}
 	}
 
-	logs := make([][]uint64, n)
-	for node := 0; node < n; node++ {
-		node := node
-		m.SpawnNamed(mesh.NodeID(node), fmt.Sprintf("fuzz%d", node), func(th *proc.Thread) {
-			rng := rand.New(rand.NewSource(seed*1000 + int64(node)))
-			rec := func(v uint64) { logs[node] = append(logs[node], v) }
+	// Thread k on node runs stream k*n+node: with one thread per node
+	// the streams are the nodes' own.
+	logs := make([][]uint64, threads*n)
+	for id := 0; id < threads*n; id++ {
+		id, node := id, id%n
+		m.SpawnNamed(mesh.NodeID(node), fmt.Sprintf("fuzz%d", id), func(th *proc.Thread) {
+			rng := rand.New(rand.NewSource(seed*1000 + int64(id)))
+			rec := func(v uint64) { logs[id] = append(logs[id], v) }
 			for op := 0; op < fuzzOps; op++ {
 				va := bases[rng.Intn(fuzzPages)] + memory.VAddr(rng.Intn(memory.PageWords))
 				switch rng.Intn(10) {
@@ -186,23 +188,26 @@ func diffDigest(t *testing.T, want, got digest, label string) {
 // 2, 4 and 8 shards and requires byte-identical digests: same elapsed
 // cycles, same per-thread values and timestamps, same memory images,
 // same counters — and for observed legs, the same merged event stream
-// and latency histograms. Six legs stress the paths most likely to
+// and latency histograms. Seven legs stress the paths most likely to
 // diverge: the plain protocol, the unreliable network (per-source-node
 // fault PRNGs, retransmission timers), write combining (multi-word
 // batches interacting with the lookahead window), link contention
 // (mid-round sends replayed at barriers in dispatch-tag order), a
-// structured observer (shard-local buffers merged by tag), and
-// contention and observation together.
+// structured observer (shard-local buffers merged by tag), contention
+// and observation together, and two SwitchOnSync threads per node, so
+// every shard worker switches between live coroutines.
 func TestShardEquivalenceFuzz(t *testing.T) {
 	contention := func(c *core.Config) { c.NetContention = true }
 	observe := func(c *core.Config) {
 		c.Observe = stats.NewObserver(stats.ObserveConfig{Events: 1 << 15, EngineEvents: true})
 	}
+	switchOnSync := func(c *core.Config) { c.Mode, c.SwitchCost = proc.SwitchOnSync, 40 }
 	legs := []struct {
-		name   string
-		faults mesh.FaultConfig
-		batch  int
-		mods   []func(*core.Config)
+		name    string
+		faults  mesh.FaultConfig
+		batch   int
+		threads int // per node; 0 means 1
+		mods    []func(*core.Config)
 	}{
 		{name: "base", batch: 1},
 		{name: "faults", batch: 1, faults: mesh.FaultConfig{
@@ -212,6 +217,7 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 		{name: "contention", batch: 1, mods: []func(*core.Config){contention}},
 		{name: "observer", batch: 1, mods: []func(*core.Config){observe}},
 		{name: "contention+observer", batch: 1, mods: []func(*core.Config){contention, observe}},
+		{name: "switch-on-sync", batch: 1, threads: 2, mods: []func(*core.Config){switchOnSync}},
 	}
 	seeds := []int64{1, 42}
 	if testing.Short() {
@@ -220,10 +226,11 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 	for _, leg := range legs {
 		leg := leg
 		t.Run(leg.name, func(t *testing.T) {
+			threads := max(leg.threads, 1)
 			for _, seed := range seeds {
-				serial := runRandom(t, 1, seed, leg.faults, leg.batch, leg.mods...)
+				serial := runRandom(t, 1, seed, leg.faults, leg.batch, threads, leg.mods...)
 				for _, k := range []int{2, 4, 8} {
-					got := runRandom(t, k, seed, leg.faults, leg.batch, leg.mods...)
+					got := runRandom(t, k, seed, leg.faults, leg.batch, threads, leg.mods...)
 					diffDigest(t, serial, got, fmt.Sprintf("%s seed=%d shards=%d", leg.name, seed, k))
 				}
 			}

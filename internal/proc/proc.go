@@ -243,8 +243,10 @@ func (p *Proc) dispatchNext() {
 	if p.down || len(p.ready) == 0 {
 		return
 	}
+	// Pop by copying down, not by reslicing: the list keeps its
+	// capacity, so the append in yield or unblock never reallocates.
 	t := p.ready[0]
-	p.ready = p.ready[1:]
+	p.ready = p.ready[:copy(p.ready, p.ready[1:])]
 	p.dispatch(t)
 }
 
@@ -383,7 +385,7 @@ func (t *Thread) waitOp(class uint8) sim.Cycles {
 	t.state = tBlocked
 	t.proc.current = nil
 	t.proc.dispatchNext()
-	t.co.ParkInline()
+	t.co.Park()
 	t.state = tRunning
 	stalled := t.proc.eng.Now() - began
 	if o != nil {
@@ -395,30 +397,15 @@ func (t *Thread) waitOp(class uint8) sim.Cycles {
 // yield requeues the thread behind its processor's ready list — the
 // SwitchOnSync context switch after issuing a synchronization
 // operation. When the thread is its processor's only runnable thread
-// the "switch" re-dispatches it immediately, and if nothing else is
-// due within the switch cost the whole dispatch collapses to a direct
-// clock advance: same charge, same schedule, no wake event and no
-// goroutine handoff. (Skipped with an observer attached so the
-// EvDispatch record is never lost.)
+// the "switch" re-dispatches it immediately, still paying the switch
+// cost.
 func (t *Thread) yield() {
 	p := t.proc
-	if len(p.ready) == 0 && p.st.Observer() == nil {
-		var cost sim.Cycles
-		if p.mode == SwitchOnSync {
-			cost = p.switchCost
-		}
-		if p.eng.AdvanceIf(cost) {
-			if p.mode == SwitchOnSync {
-				p.nstat().CtxSwitches++
-			}
-			return
-		}
-	}
 	t.state = tReady
 	p.ready = append(p.ready, t)
 	p.current = nil
 	p.dispatchNext()
-	t.co.ParkInline()
+	t.co.Park()
 	t.state = tRunning
 }
 
@@ -434,7 +421,7 @@ func (t *Thread) haltIfDown() {
 		t.state = tBlocked
 		p.current = nil
 		p.dispatchNext()
-		t.co.ParkInline()
+		t.co.Park()
 		t.state = tRunning
 	}
 }
@@ -481,15 +468,10 @@ func (t *Thread) Read(va memory.VAddr) memory.Word {
 	t.haltIfDown()
 	g := t.translate(va)
 	t.opCompleted = false
-	// Fast path: with no other runnable thread to dispatch during the
-	// wait, a local read whose latency window contains no other event
-	// completes in place (direct clock advance, same schedule).
-	v, elapsed, fast := t.proc.cm.ReadFast(g, t.readDone, len(t.proc.ready) == 0)
+	t.proc.cm.Read(g, t.readDone)
 	cause := t.proc.cm.LastCause()
-	if !fast {
-		elapsed = t.waitOp(stats.StallRead)
-		v = t.readVal
-	}
+	elapsed := t.waitOp(stats.StallRead)
+	v := t.readVal
 	if o := t.proc.acc(); o != nil {
 		o.Emit(stats.EvAccRead, int(t.proc.node), accSub(sync), cause, uint64(va), tb(t.id, v))
 	}
@@ -662,7 +644,7 @@ func (t *Thread) Sleep() {
 	t.state = tSleeping
 	t.proc.current = nil
 	t.proc.dispatchNext()
-	t.co.ParkInline()
+	t.co.Park()
 	t.state = tRunning
 	t.emitSleepEnd()
 }

@@ -251,3 +251,27 @@ func TestThreadMetadata(t *testing.T) {
 		t.Fatal("proc accessors wrong")
 	}
 }
+
+// TestSwitchOnSyncAllocFree pins the SwitchOnSync context switch at
+// zero allocations once warm: two threads share one processor in a
+// Fadd+Verify loop, so every issue yields to the other thread.
+func TestSwitchOnSyncAllocFree(t *testing.T) {
+	r := newRig(t, 2, 1, SwitchOnSync, 40)
+	va := r.kern.AllocPage(0).Base()
+	for k := 0; k < 2; k++ {
+		r.procs[0].Spawn(k, "t", func(t *Thread) {
+			for i := 0; i < 1<<20; i++ {
+				t.Verify(t.Fadd(va, 1))
+			}
+		})
+	}
+	r.eng.RunLimit(2000) // warm-up: page fault, stacks, queues
+	switches := r.st.Nodes[0].CtxSwitches
+	avg := testing.AllocsPerRun(20, func() { r.eng.RunLimit(500) })
+	if avg != 0 {
+		t.Fatalf("SwitchOnSync dispatch allocates %v objects per run, want 0", avg)
+	}
+	if r.st.Nodes[0].CtxSwitches-switches < 20*500/10 {
+		t.Fatalf("only %d context switches while measuring", r.st.Nodes[0].CtxSwitches-switches)
+	}
+}

@@ -64,24 +64,44 @@ func BenchmarkEngineHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkCoroutineSwitch measures a park/wake round trip. A
-// self-rescheduling sink keeps the queue non-empty at the same cadence
-// as the waits, so WaitCycles cannot take the direct clock-advance
-// fast path and every iteration really pays the goroutine handoffs.
-func BenchmarkCoroutineSwitch(b *testing.B) {
+// alternatingPair builds two coroutines that wait two cycles at a
+// time, a at even cycles and b at odd ones, so each wait finds the
+// other's wake due first and must park: every wait is a real switch.
+// Each resume appends its coroutine's name to log.
+func alternatingPair(e *Engine, n int, log *[]byte) {
+	body := func(id byte) func(*Coroutine) {
+		return func(co *Coroutine) {
+			for i := 0; i < n; i++ {
+				co.WaitCycles(2)
+				*log = append(*log, id)
+			}
+		}
+	}
+	NewCoroutine(e, "a", body('a')).WakeAfter(0)
+	NewCoroutine(e, "b", body('b')).WakeAfter(1)
+}
+
+// checkAlternation fails unless the resume log reads a, b, a, b, ...
+func checkAlternation(tb testing.TB, log []byte) {
+	tb.Helper()
+	for i, id := range log {
+		if id != "ab"[i%2] {
+			tb.Fatalf("resume %d went to %c: the coroutines did not alternate", i, id)
+		}
+	}
+}
+
+// BenchmarkCoroutineHandoff measures one WaitCycles that parks and is
+// resumed after the other coroutine's slice: a coroutine switch.
+func BenchmarkCoroutineHandoff(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
-	n := b.N
-	s := &chainSink{eng: e, remaining: n}
-	e.ScheduleEvent(1, s, 0, nil)
-	co := NewCoroutine(e, "bench", func(co *Coroutine) {
-		for i := 0; i < n; i++ {
-			co.WaitCycles(1)
-		}
-	})
-	co.WakeAfter(0)
+	log := make([]byte, 0, 2*b.N)
+	alternatingPair(e, b.N, &log)
 	b.ResetTimer()
 	e.Run()
+	b.StopTimer()
+	checkAlternation(b, log)
 }
 
 // TestScheduleEventAllocFree pins the typed event path at zero
@@ -106,22 +126,17 @@ func TestScheduleEventAllocFree(t *testing.T) {
 }
 
 // TestCoroutineWakeAllocFree pins the coroutine wake path (the
-// coroutine is its own event sink) at zero allocations per wake. A
-// persistent sentinel keeps the queue non-empty so every wait takes
-// the schedule-wake path rather than the direct clock advance.
+// coroutine is its own event sink) at zero allocations per wake, with
+// two coroutines that switch on every wait.
 func TestCoroutineWakeAllocFree(t *testing.T) {
+	const waits = 1 << 20
 	eng := NewEngine()
-	s := &chainSink{eng: eng, remaining: 1 << 30}
-	eng.ScheduleEvent(1, s, 0, nil)
-	co := NewCoroutine(eng, "alloc-test", func(co *Coroutine) {
-		for i := 0; i < 1<<20; i++ {
-			co.WaitCycles(1)
-		}
-	})
-	co.WakeAfter(0)
-	eng.RunLimit(500) // warm-up: goroutine stack, heap array, sudogs
+	log := make([]byte, 0, 2*waits)
+	alternatingPair(eng, waits, &log)
+	eng.RunLimit(500) // warm-up: goroutine stacks, heap array
 	avg := testing.AllocsPerRun(20, func() { eng.RunLimit(200) })
 	if avg != 0 {
-		t.Fatalf("coroutine wake path allocates %v objects per run, want 0", avg)
+		t.Fatalf("coroutine switch allocates %v objects per run, want 0", avg)
 	}
+	checkAlternation(t, log)
 }

@@ -1,12 +1,23 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Coroutine models a simulated thread of control (an application thread
-// running on a simulated processor). The body runs on its own goroutine
-// but never concurrently with the engine or with another coroutine: it
-// runs only between an engine resume and the next park, so all
-// simulated state can be accessed without locks.
+// running on a simulated processor). The body runs as an iter.Pull
+// iterator on its own goroutine, entered and left by direct goroutine
+// switches in the runtime. It never runs concurrently with the engine
+// or with another coroutine: it runs only between an engine resume
+// (next) and the next park (yield), so all simulated state can be
+// accessed without locks.
+//
+// Only the goroutine stepping the coroutine's engine ever resumes it —
+// the serial Run loop, or that engine's shard worker — because a body
+// never steps an engine itself: it only schedules its wake and parks.
+// A panic in the body is re-raised by next in that goroutine, so it
+// surfaces from Engine.Run like a panic in any other event handler.
 //
 // Lifecycle:
 //
@@ -18,36 +29,27 @@ import "fmt"
 // parks indefinitely with Park (some event handler later calls
 // WakeAfter). When body returns, Done() reports true.
 type Coroutine struct {
-	eng    *Engine
-	resume chan struct{}
-	parked chan struct{}
-	done   bool
+	eng *Engine
+	// next resumes the body until its next park or its return; yield,
+	// the body's side of the pair, parks it.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	done  bool
 	// waking is true while a wake event for this coroutine is pending
 	// in the engine's queue. It guards against double-resume.
 	waking bool
-	// driving is true while the coroutine's own goroutine is running
-	// the engine's event loop in place of parking (ParkInline). Its
-	// wake event then clears the flag instead of performing a channel
-	// handoff.
-	driving bool
-	label   string
+	label  string
 }
 
 // NewCoroutine creates a coroutine that will execute body. The body
 // does not run until the first WakeAfter; it is created parked.
 func NewCoroutine(eng *Engine, label string, body func(*Coroutine)) *Coroutine {
-	co := &Coroutine{
-		eng:    eng,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-		label:  label,
-	}
-	go func() {
-		<-co.resume
+	co := &Coroutine{eng: eng, label: label}
+	co.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		co.yield = yield
 		body(co)
 		co.done = true
-		co.parked <- struct{}{}
-	}()
+	})
 	return co
 }
 
@@ -80,15 +82,7 @@ func (co *Coroutine) HandleEvent(int, any) {
 	// Clear before transferring control: the body may re-arm its own
 	// wake (WaitCycles) during this slice.
 	co.waking = false
-	if co.driving {
-		// The coroutine's own goroutine popped this wake from inside
-		// ParkInline's drive loop: clearing the flag IS the resume —
-		// the loop exits and the body continues, no handoff needed.
-		co.driving = false
-		return
-	}
-	co.resume <- struct{}{}
-	<-co.parked
+	co.next()
 }
 
 // WakeAfter schedules the coroutine to resume after delay cycles.
@@ -104,56 +98,19 @@ func (co *Coroutine) Wakeable() bool { return !co.done && !co.waking }
 
 // Park suspends the coroutine until some event calls WakeAfter.
 // Must be called from the coroutine's own body.
-func (co *Coroutine) Park() {
-	co.parked <- struct{}{}
-	<-co.resume
-}
-
-// ParkInline suspends the coroutine until some event calls WakeAfter,
-// like Park, but keeps the coroutine's goroutine executing the
-// engine's event loop while it waits. It is the generalization of
-// AdvanceIf's direct clock advance from "nothing else is due" to
-// "other activity is due, but none of it needs a control transfer":
-// message deliveries, coherence-manager timers and the wait's own
-// completion chain all dispatch inline on this goroutine, and the
-// coroutine's wake event simply falls out of the loop — zero channel
-// handoffs for an entire remote round trip. The drive loop hands back
-// to a real Park the moment the next event would resume a different
-// coroutine (or lies beyond the engine's horizon), so the dispatch
-// order, event timestamps and tie-break draws are identical to the
-// slow path in every case.
-func (co *Coroutine) ParkInline() {
-	e := co.eng
-	co.driving = true
-	for co.driving {
-		if len(e.pq) == 0 || e.pq[0].at > e.horizon {
-			co.driving = false
-			co.Park()
-			return
-		}
-		if next, ok := e.pq[0].sink.(*Coroutine); ok && next != co {
-			co.driving = false
-			co.Park()
-			return
-		}
-		e.Step()
-	}
-	// Our own wake dispatched from our own Step: the body resumes here
-	// with the engine clock at the wake time and curLane already set to
-	// the wake event's lane, exactly as if HandleEvent had resumed us.
-}
+func (co *Coroutine) Park() { co.yield(struct{}{}) }
 
 // WaitCycles suspends the coroutine for d cycles of virtual time.
 // Must be called from the coroutine's own body. When no other event is
 // due within d cycles the wait is a direct clock advance — the
-// schedule-wake/park round trip (two goroutine handoffs) happens only
+// schedule-wake/park round trip (two goroutine switches) happens only
 // when other simulated activity must run first.
 func (co *Coroutine) WaitCycles(d Cycles) {
 	if co.eng.AdvanceIf(d) {
 		return
 	}
 	co.scheduleWake(d)
-	co.ParkInline()
+	co.Park()
 }
 
 // String implements fmt.Stringer for diagnostics.

@@ -140,3 +140,50 @@ func TestManyCoroutinesDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// runRecovered runs the engine and returns the value of any panic that
+// escapes Run.
+func runRecovered(e *Engine) (p any) {
+	defer func() { p = recover() }()
+	e.Run()
+	return nil
+}
+
+// TestCoroutinePanicReachesRunCaller checks that a panic in a
+// coroutine's body surfaces from Engine.Run in the caller's goroutine,
+// where it can be recovered, rather than crashing the process.
+func TestCoroutinePanicReachesRunCaller(t *testing.T) {
+	e := NewEngine()
+	co := NewCoroutine(e, "t", func(co *Coroutine) {
+		co.Park()
+		panic("body")
+	})
+	co.WakeAfter(0)
+	e.Schedule(20, func() { co.WakeAfter(0) })
+	if p := runRecovered(e); p != "body" {
+		t.Fatalf("Run panicked with %v, want %q", p, "body")
+	}
+	if e.Now() != 20 {
+		t.Fatalf("panic surfaced at cycle %d, want 20", e.Now())
+	}
+}
+
+// TestHandlerPanicWhileCoroutineWaits checks the same for a panic in
+// an event handler that fires while a coroutine waits for its wake:
+// the handler runs on Run's goroutine, never on the coroutine's, and
+// the coroutine stays parked.
+func TestHandlerPanicWhileCoroutineWaits(t *testing.T) {
+	e := NewEngine()
+	co := NewCoroutine(e, "t", func(co *Coroutine) {
+		e.Schedule(3, func() { panic("handler") })
+		co.WaitCycles(10)
+		t.Error("body resumed past a panicking handler")
+	})
+	co.WakeAfter(0)
+	if p := runRecovered(e); p != "handler" {
+		t.Fatalf("Run panicked with %v, want %q", p, "handler")
+	}
+	if e.Now() != 3 {
+		t.Fatalf("panic surfaced at cycle %d, want 3", e.Now())
+	}
+}

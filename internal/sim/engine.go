@@ -5,12 +5,13 @@
 // measured in processor cycles. Exactly one piece of simulated activity
 // runs at any instant: either an event handler or a coroutine that an
 // event handler resumed. Coroutines (used to model application threads
-// running on simulated processors) are ordinary goroutines that park on
-// a channel whenever they need virtual time to pass; the engine resumes
-// them from scheduled events and waits for them to park again before
-// popping the next event. The result is a total, reproducible order of
-// all simulated activity: ties in virtual time break on event sequence
-// number, which is assigned in scheduling order.
+// running on simulated processors) are iter.Pull iterators: each body
+// runs on its own goroutine and yields whenever it needs virtual time
+// to pass; a scheduled event resumes it with a direct goroutine switch,
+// and the engine's loop continues only once the body yields again.
+// The result is a total, reproducible order of all simulated activity:
+// ties in virtual time break on event sequence number, which is
+// assigned in scheduling order.
 //
 // Events are stored by value in an indexed binary heap and dispatch to
 // an EventSink, so scheduling allocates nothing on the hot paths
@@ -75,9 +76,8 @@ func (funcSink) HandleEvent(_ int, data any) { data.(func())() }
 type Engine struct {
 	now Cycles
 	// curLane is the lane of the activity currently executing: set by
-	// Step from each dispatched event (and left in place afterwards, so
-	// a coroutine slice that keeps running after an inline-driven
-	// resume still schedules under its own lane). Events scheduled
+	// Step from each dispatched event, including a coroutine's wake, so
+	// a resumed slice schedules under its own lane. Events scheduled
 	// during an activity inherit it as their tie-break lane.
 	curLane int32
 	// laneSeq holds one monotone draw counter per lane, indexed by
