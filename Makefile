@@ -7,10 +7,10 @@ GO ?= go
 all: check
 
 # The default gate: everything a PR must keep green. The shard
-# equivalence tests ride in test/race, bench-json's -exp all includes
-# the scale experiment's quick leg (which fails loudly if any sharded
-# run diverges from its serial twin), scale-smoke reruns that sweep
-# full-featured (contention + tracing at 4 shards), and race-smoke
+# equivalence and serial-only rejection tests ride in test/race,
+# bench-json's -exp all includes the scale experiment's quick leg
+# (which fails loudly if any sharded run diverges from its serial
+# twin), scale-smoke reruns that sweep at 4 shards, and race-smoke
 # runs the happens-before detection corpus end to end.
 check: build test race lint bench-json trace-smoke race-smoke scale-smoke kvserve-smoke
 
@@ -34,25 +34,17 @@ bench:
 # Quick sweeps through the parallel runner with self-timing: writes
 # BENCH_<date>.json (per-experiment wall-clock, point count, workers,
 # shard count) so the worker-pool speedup stays visible and trackable
-# over time. Runs at 4 shard engines with tracing on, so the sweeps
-# that honor -shards (the SSSP figures and the scale experiment's
-# quick leg) exercise the full-featured sharded machine — contention,
-# observers, shard engines together — on every check.
+# over time. Serial and untraced: the baseline leg every perf record
+# compares against.
 bench-json:
-	$(GO) run ./cmd/plusbench -quick -exp all -shards 4 \
-		-trace /tmp/plus-bench-trace.json \
+	$(GO) run ./cmd/plusbench -quick -exp all \
 		-timing BENCH_$$(date +%Y-%m-%d).json >/dev/null
-	@rm -f /tmp/plus-bench-trace.json
 
-# Full-featured sharded scale smoke: the figure2-1-scale quick sweep
-# with link contention and per-point tracing enabled at 4 shards. The
-# sweep's equivalence check exits nonzero if the sharded row's cycles,
-# messages or relaxations diverge from the serial row's, pinning the
-# contention + observer gate lifts end to end.
+# Sharded scale smoke: the figure2-1-scale quick sweep at 4 shards.
+# The sweep's equivalence check exits nonzero if the sharded row's
+# cycles, messages or relaxations diverge from the serial row's.
 scale-smoke:
-	$(GO) run ./cmd/plusbench -quick -exp figure2-1-scale -shards 4 \
-		-trace /tmp/plus-scale-smoke.json >/dev/null
-	@rm -f /tmp/plus-scale-smoke.json
+	$(GO) run ./cmd/plusbench -quick -exp figure2-1-scale -shards 4 >/dev/null
 
 # Full sharded-engine scale sweep: Figure 2-1's workload at 8x8,
 # 16x16 and 32x32 over shard counts 1..16, points run sequentially so
@@ -78,12 +70,13 @@ race-smoke:
 	$(GO) run ./cmd/plusbench -races >/dev/null
 
 # Serving-workload smoke: the open-loop Zipfian record-store sweep's
-# quick leg (4x4, skews 0 and 1.2, all three placements) at 4 shard
-# engines with contention on. Every point self-validates its
-# fetch-and-add op counters against the generators' tallies, so the
-# target exits nonzero if the serving path loses an update.
+# quick leg (4x4, skews 0 and 1.2, all three placements) with
+# contention on, serially (the contention model is serial-only). Every
+# point self-validates its fetch-and-add op counters against the
+# generators' tallies, so the target exits nonzero if the serving path
+# loses an update.
 kvserve-smoke:
-	$(GO) run ./cmd/plusbench -quick -exp kvserve-sweep -shards 4 >/dev/null
+	$(GO) run ./cmd/plusbench -quick -exp kvserve-sweep >/dev/null
 
 vet:
 	$(GO) vet ./...

@@ -44,8 +44,7 @@ type Config struct {
 	Validate            bool
 	// Machine, when non-nil, overrides the machine configuration
 	// (mesh geometry fields are still taken from MeshW/MeshH); used by
-	// the observation and race-detection runners to attach observers
-	// and sweep shard counts.
+	// the observation and race-detection runners to attach observers.
 	Machine *core.Config
 }
 

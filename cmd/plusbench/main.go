@@ -16,10 +16,13 @@
 // is byte-identical for any -parallel value. -shards K additionally
 // runs each supporting point's machine on K shard engines —
 // parallelism inside one simulation rather than across points, with
-// byte-identical results either way. -json replaces the tables with
-// one JSON array of {experiment, title, points, rows} objects. -timing writes a BENCH_<date>.json-style self-timing
-// report (per-experiment wall-clock, point count, workers) so the
-// parallel speedup stays trackable.
+// byte-identical results either way. Contended points stay serial,
+// and -shards K > 1 cannot be combined with -trace, -sample or -hist
+// (observers are serial-only). -json replaces the tables with one
+// JSON array of {experiment, title, points, rows} objects. -timing
+// writes a BENCH_<date>.json-style self-timing report
+// (per-experiment wall-clock, point count, workers) so the parallel
+// speedup stays trackable.
 //
 // -trace instruments every sweep point with the structured-event
 // layer and writes one Chrome trace-event JSON (load it in Perfetto or
@@ -35,8 +38,8 @@
 //
 // -races runs the registered race-detection corpus (experiments.
 // RacePrograms) with the data-access event layer on and prints each
-// program's happens-before report in name order — deterministic and
-// identical for any shard count. -json emits the outcomes as a JSON
+// program's happens-before report in name order — deterministic run
+// to run. -json emits the outcomes as a JSON
 // array instead; -trace additionally exports every corpus run as a
 // Chrome trace with the detected races on a per-run annotation track.
 // Exit status is non-zero iff any program misses its declared verdict
@@ -97,6 +100,10 @@ func main() {
 		return
 	}
 
+	if *shards > 1 && (*traceOut != "" || *sample > 0 || *hist) {
+		fmt.Fprintln(os.Stderr, "plusbench: -shards K > 1 cannot be combined with -trace, -sample or -hist (observers are serial-only); drop -shards or the instrumentation")
+		os.Exit(2)
+	}
 	sel, err := experiments.Select(*exp)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "plusbench: %v\n", err)

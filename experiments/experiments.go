@@ -21,21 +21,21 @@ import (
 
 // shardedMachine resolves an SSSP point's machine override: the
 // observation's instrumented config when observing, otherwise a
-// default config — either way carrying Options.Shards when the knob
-// is set and tiles the point's mesh. Contention and observation are
-// shard-aware (deferred replay and shard-local observers, see
-// internal/core.Config.Shards), so neither forces a point serial
-// anymore.
-func shardedMachine(o Options, name string, w, h int) *core.Config {
-	mc := o.Observe.MachineFor(name, w, h)
-	if o.Shards > 1 && o.Shards <= w*h && (w*h)%o.Shards == 0 {
-		if mc == nil {
-			c := core.DefaultConfig(w, h)
-			mc = &c
-		}
-		mc.Shards = o.Shards
+// default config carrying Options.Shards when the knob is set and
+// tiles the point's mesh. Observed and contended points stay serial
+// (observers and the contention model are serial-only, see
+// internal/core.Config.Shards), as do points whose mesh the count does
+// not tile; results are identical either way.
+func shardedMachine(o Options, name string, w, h int, contention bool) *core.Config {
+	if mc := o.Observe.MachineFor(name, w, h); mc != nil || contention {
+		return mc
 	}
-	return mc
+	if o.Shards > 1 && o.Shards <= w*h && (w*h)%o.Shards == 0 {
+		mc := core.DefaultConfig(w, h)
+		mc.Shards = o.Shards
+		return &mc
+	}
+	return nil
 }
 
 // meshFor returns a near-square mesh holding at least p nodes.
@@ -91,7 +91,7 @@ func table21Points(o Options) []Point[Table21Row] {
 					MeshW: 4, MeshH: 4, Procs: 16,
 					Vertices: vertices, Degree: 4, Seed: 42,
 					Copies: copies, Validate: true,
-					Machine: shardedMachine(o, name, 4, 4),
+					Machine: shardedMachine(o, name, 4, 4, false),
 				})
 				if err != nil {
 					return Table21Row{}, err
@@ -196,7 +196,7 @@ func figure21Points(o Options, contention bool) []Point[Fig21Point] {
 						Vertices: vertices, Degree: 4, Seed: 42,
 						Copies: copies, Validate: true,
 						Contention: contention,
-						Machine:    shardedMachine(o, name, w, h),
+						Machine:    shardedMachine(o, name, w, h, contention),
 					})
 					if err != nil {
 						return Fig21Point{}, err

@@ -92,7 +92,8 @@ func kvservePoints(o Options) []Point[KvRow] {
 						"mesh": meshLabel, "skew": fmt.Sprint(skew), "placement": placement,
 					},
 					Run: func() (KvRow, error) {
-						mc := shardedMachine(o, name, mm.w, mm.h)
+						// Contention is serial-only, so -shards never applies.
+						mc := o.Observe.MachineFor(name, mm.w, mm.h)
 						if mc == nil {
 							c := core.DefaultConfig(mm.w, mm.h)
 							mc = &c

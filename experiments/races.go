@@ -26,13 +26,12 @@ type RaceProgram struct {
 	// at least one race, false that it must stay silent.
 	Racy bool
 	// Run executes the program on a machine built from mcfg (which
-	// carries the observer and any shard setting). The mesh is fixed
-	// at raceMeshW x raceMeshH so every program accepts the shard
-	// counts the equivalence leg sweeps.
+	// carries the observer). The mesh is fixed at raceMeshW x
+	// raceMeshH.
 	Run func(mcfg *core.Config) error
 }
 
-// The corpus mesh: 8 nodes, tileable into 2, 4 or 8 shards.
+// The corpus mesh: 8 nodes.
 const (
 	raceMeshW = 4
 	raceMeshH = 2
@@ -52,12 +51,9 @@ func RacePrograms() []RaceProgram {
 }
 
 // raceObserve runs one corpus program with the data-access layer on
-// and returns its observer. shards 0 or 1 runs serially.
-func raceObserve(p RaceProgram, shards int) (*stats.Observer, error) {
+// and returns its observer.
+func raceObserve(p RaceProgram) (*stats.Observer, error) {
 	mcfg := core.DefaultConfig(raceMeshW, raceMeshH)
-	if shards > 1 {
-		mcfg.Shards = shards
-	}
 	o := stats.NewObserver(stats.ObserveConfig{Events: 1 << 20, DataAccess: true})
 	mcfg.Observe = o
 	if err := p.Run(&mcfg); err != nil {
@@ -66,11 +62,9 @@ func raceObserve(p RaceProgram, shards int) (*stats.Observer, error) {
 	return o, nil
 }
 
-// RaceReportFor runs one corpus program and analyzes its stream. The
-// stream — and therefore the report — is byte-identical for any shard
-// count.
-func RaceReportFor(p RaceProgram, shards int) (*trace.Report, error) {
-	o, err := raceObserve(p, shards)
+// RaceReportFor runs one corpus program and analyzes its stream.
+func RaceReportFor(p RaceProgram) (*trace.Report, error) {
+	o, err := raceObserve(p)
 	if err != nil {
 		return nil, err
 	}
@@ -89,13 +83,13 @@ type RaceOutcome struct {
 	Trace   stats.ObservedRun `json:"-"`
 }
 
-// RunRaceCorpus runs every registered program serially and checks each
+// RunRaceCorpus runs every registered program and checks each
 // verdict. ok is false when any program missed its expectation (a racy
 // program undetected, or a clean one misflagged).
 func RunRaceCorpus() (outcomes []RaceOutcome, ok bool, err error) {
 	ok = true
 	for _, p := range RacePrograms() {
-		o, rerr := raceObserve(p, 0)
+		o, rerr := raceObserve(p)
 		if rerr != nil {
 			return nil, false, rerr
 		}
@@ -118,7 +112,7 @@ func RunRaceCorpus() (outcomes []RaceOutcome, ok bool, err error) {
 }
 
 // pairNodes places the directed pair's two threads at the mesh's
-// opposite corners — always in different shards for any tiling.
+// opposite corners.
 const (
 	pairWriterNode = mesh.NodeID(0)
 	pairReaderNode = mesh.NodeID(raceMeshW*raceMeshH - 1)

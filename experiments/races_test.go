@@ -57,14 +57,14 @@ func TestRaceKvserveUnsyncCounters(t *testing.T) {
 	for _, p := range RacePrograms() {
 		byName[p.Name] = p
 	}
-	clean, err := RaceReportFor(byName["kvserve"], 0)
+	clean, err := RaceReportFor(byName["kvserve"])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(clean.Races) != 0 || clean.Dropped != 0 {
 		t.Fatalf("kvserve (synchronized): %d race(s), dropped %d — want silence", len(clean.Races), clean.Dropped)
 	}
-	rep, err := RaceReportFor(byName["kvserve-unsync"], 0)
+	rep, err := RaceReportFor(byName["kvserve-unsync"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,44 +97,5 @@ func TestRaceKvserveUnsyncCounters(t *testing.T) {
 	}
 	if !writeRead || !writeWrite {
 		t.Fatalf("lost update flagged at one site only: write→read=%v write→write=%v", writeRead, writeWrite)
-	}
-}
-
-// TestRaceReportShardEquivalence pins that race reports are
-// byte-identical between the serial engine and sharded runs at every
-// supported tiling: the merged event stream preserves serial emission
-// order, so the detector — a pure function of the stream — cannot
-// tell the difference. (All corpus programs avoid cross-shard Wake,
-// which is the one documented sharding divergence.)
-func TestRaceReportShardEquivalence(t *testing.T) {
-	for _, p := range RacePrograms() {
-		p := p
-		t.Run(p.Name, func(t *testing.T) {
-			serial, err := RaceReportFor(p, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := serial.Format()
-			wantJSON, err := serial.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range []int{2, 4, 8} {
-				rep, err := RaceReportFor(p, k)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", k, err)
-				}
-				if got := rep.Format(); got != want {
-					t.Errorf("shards=%d: report differs from serial\nserial:\n%s\nsharded:\n%s", k, want, got)
-				}
-				gotJSON, err := rep.JSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(gotJSON) != string(wantJSON) {
-					t.Errorf("shards=%d: JSON differs from serial", k)
-				}
-			}
-		})
 	}
 }

@@ -16,9 +16,9 @@ type Result struct {
 	Points int    `json:"points"`
 	// Shards is the effective shard count the sweep's points ran with
 	// (1 = serial engines), so archived JSON rows record which engine
-	// mode produced them. Points whose mesh the count does not tile
-	// fall back to serial individually; the scale experiment sweeps
-	// shard counts per-row (see ScaleRow.Shards).
+	// mode produced them. Points whose mesh the count does not tile,
+	// or that contend or observe, stay serial individually; the scale
+	// experiment sweeps shard counts per-row (see ScaleRow.Shards).
 	Shards int    `json:"shards"`
 	Rows   any    `json:"rows"`
 	Table  string `json:"-"`

@@ -73,20 +73,18 @@ func scalePoints(o Options) []Point[ScaleRow] {
 				Run: func() (ScaleRow, error) {
 					mc := core.DefaultConfig(mesh.w, mesh.h)
 					mc.Shards = k
-					// An instrumented sweep runs the full-featured
-					// machine — link contention on, a per-point observer
-					// attached — so the serial-vs-sharded equivalence
-					// check below also pins the contention and observer
-					// gate lifts at SSSP scale (make check runs this
-					// quick at -shards 4 with tracing).
-					o.Observe.Attach(&mc, name)
+					// Observers are serial-only: an instrumented sweep
+					// traces the serial row of each mesh, so that row's
+					// wall time (and every speedup) includes tracing.
+					if k == 1 {
+						o.Observe.Attach(&mc, name)
+					}
 					start := time.Now()
 					res, err := sssp.Run(sssp.Config{
 						MeshW: mesh.w, MeshH: mesh.h, Procs: procs,
 						Vertices: mesh.vertices, Degree: 4, Seed: 42,
 						Copies: 4, Validate: true,
-						Contention: o.Observe != nil,
-						Machine:    &mc,
+						Machine: &mc,
 					})
 					if err != nil {
 						return ScaleRow{}, err

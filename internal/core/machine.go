@@ -60,17 +60,16 @@ type Config struct {
 	// of nodes, each simulated on its own event queue by its own worker
 	// goroutine under conservative lookahead (see internal/sim.ShardSet
 	// and mesh.Config.Shards). 0 or 1 runs serially. Sharded runs are
-	// deterministic and byte-identical to serial ones — same elapsed
-	// cycles, counters, memory images, and (with an observer attached)
-	// the same merged event stream: link contention replays at lookahead
-	// barriers, observers buffer shard-locally and merge in dispatch-tag
-	// order, and kernel-triggered copy-list splices (competitive
-	// replication, runtime Replicate/DeleteCopy/Migrate) execute as
-	// barrier work. Two features remain serial-only: crash injection and
-	// bounded link buffers (mesh.Config.Validate rejects both). A
-	// cross-shard thread Wake is carried by the cross-shard mail path
-	// and lands one lookahead window later — deterministic for a fixed
-	// shard count, but not byte-identical to serial timing.
+	// deterministic and byte-identical to serial ones: same elapsed
+	// cycles, counters and memory images. Five features are
+	// serial-only, and NewMachine rejects them on a sharded machine:
+	// crash injection, bounded link buffers (Faults.LinkBufFlits), the
+	// contention model (NetContention), observers (Observe) and
+	// competitive replication (CompetitiveThreshold). Runtime
+	// Kernel().Replicate, DeleteCopy and Migrate calls from threads make
+	// Run fail. A cross-shard thread Wake is carried by the cross-shard
+	// mail path and lands one lookahead window later — deterministic
+	// for a fixed shard count, but not byte-identical to serial timing.
 	Shards int
 	// CheckInvariants runs the coherence invariant checker periodically
 	// during Run and once at the end: single master per page, intact
@@ -87,8 +86,8 @@ type Config struct {
 	// configured with a sample interval — schedules the time-series
 	// sampler. One observer serves exactly one machine; binding the same
 	// observer twice panics. Nil (the default) keeps every hot path
-	// allocation-free and the simulation byte-identical to an
-	// unobserved run.
+	// allocation-free. Observers never schedule events, so an observed
+	// run is byte-identical to an unobserved one. Serial-only.
 	Observe *stats.Observer
 }
 
@@ -130,14 +129,6 @@ type Machine struct {
 	// Config.CheckInvariants); invErr records the first violation.
 	inv    *InvariantChecker
 	invErr error
-
-	// obs is the attached observer (nil when unobserved); obsKids holds
-	// its per-shard children (nil when serial); sample is the
-	// time-series sampler, driven per-dispatch serially and
-	// barrier-aligned when sharded.
-	obs     *stats.Observer
-	obsKids []*stats.Observer
-	sample  func(at sim.Cycles)
 }
 
 // NewMachine builds and wires a machine.
@@ -159,6 +150,14 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	k := mcfg.ShardCount()
+	if k > 1 {
+		switch {
+		case cfg.Observe != nil:
+			return nil, errors.New("core: Observe is serial-only (one event ring and sampler cannot follow several shard workers); run with Shards <= 1")
+		case cfg.CompetitiveThreshold > 0:
+			return nil, errors.New("core: CompetitiveThreshold is serial-only (a triggered replication splices copy-lists that other shards own); run with Shards <= 1")
+		}
+	}
 	if len(cfg.Faults.Crashes) > 0 {
 		switch {
 		case cfg.CompetitiveThreshold > 0:
@@ -170,14 +169,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	engines := make([]*sim.Engine, k)
 	for i := range engines {
 		engines[i] = sim.NewEngine()
-		if mcfg.Contention {
-			// Deferred contention replays mid-round sends at barriers in
-			// dispatch-tag order; tags are only meaningful under strict
-			// waiting. Serial runs wait strictly too so their schedules
-			// stay byte-identical to sharded ones (AdvanceIf is
-			// schedule-neutral — see sim.Engine.SetStrictWait).
-			engines[i].SetStrictWait(true)
-		}
 	}
 	eng := engines[0]
 	var net *mesh.Mesh
@@ -281,22 +272,13 @@ func NewMachine(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// attachObserver binds o to this machine: clock + topology metadata,
-// the stats/mesh emission hooks, the optional engine-dispatch probe,
-// and the optional time-series sampler. Observers record events and
-// counters only — they never schedule engine events (the sampler
-// piggybacks on the dispatch hook rather than arming its own tick),
-// so an observed run computes exactly the same result, elapsed time
-// included, as an unobserved one.
-//
-// On a sharded machine each shard gets a child observer reading its
-// own engine's clock and dispatch tags (stats.ShardChild); the shard's
-// components emit into the child and runSharded merges the buffers
-// into the master ring in tag order at every barrier, reconstructing
-// the exact serial emission order. The sampler runs barrier-aligned
-// instead of per-dispatch. Every engine — including a serial one —
-// switches to strict waiting so dispatch tags stay meaningful and the
-// two modes keep identical schedules.
+// attachObserver binds o to this serial machine: clock + topology
+// metadata, the stats/mesh emission hooks, the optional
+// engine-dispatch probe, and the optional time-series sampler.
+// Observers record events and counters only — they never schedule
+// engine events (the sampler piggybacks on the dispatch hook rather
+// than arming its own tick), so an observed run computes exactly the
+// same result, elapsed time included, as an unobserved one.
 func (m *Machine) attachObserver(o *stats.Observer) {
 	o.Bind(m.eng.Now, stats.TraceMeta{
 		Nodes:      m.net.Nodes(),
@@ -304,59 +286,33 @@ func (m *Machine) attachObserver(o *stats.Observer) {
 		MeshHeight: m.cfg.MeshHeight,
 		Links:      m.net.LinkLabels(),
 	})
-	m.obs = o
 	m.st.AttachObserver(o)
-	for _, e := range m.engines {
-		e.SetStrictWait(true)
-	}
-	if period := o.SampleInterval(); period > 0 {
-		m.sample = m.samplerFunc(o, period)
-	}
+	m.net.SetObserver(o)
 	if o.DataAccess() {
 		// Route every node's mapping installs (fault fills, kernel
-		// remaps) into the access stream through the node's own
-		// observer — the shard child on a sharded machine, so the
-		// events carry real dispatch tags and merge deterministically.
+		// remaps) into the access stream.
 		for i, tb := range m.tables {
-			node, p := i, m.procs[i]
+			node := i
 			tb.OnInstall = func(vp memory.VPage, g memory.GPage) {
-				if po := p.Observer(); po != nil {
-					po.Emit(stats.EvAccMap, node, 0, 0,
-						uint64(vp), uint64(uint32(g.Node))<<32|uint64(uint32(g.Page)))
-				}
+				o.Emit(stats.EvAccMap, node, 0, 0,
+					uint64(vp), uint64(uint32(g.Node))<<32|uint64(uint32(g.Page)))
 			}
 		}
 	}
+	var sample func(at sim.Cycles)
+	if period := o.SampleInterval(); period > 0 {
+		sample = m.samplerFunc(o, period)
+	}
 	probe := o.EngineEvents()
-	if len(m.engines) == 1 {
-		m.net.SetObserver(o)
-		if probe || m.sample != nil {
-			sample := m.sample
-			m.eng.SetOnEvent(func(at sim.Cycles, kind int) {
-				if sample != nil {
-					sample(at)
-				}
-				if probe {
-					o.EmitAt(at, stats.EvEngineDispatch, -1, uint8(kind), 0, 0, 0)
-				}
-			})
-		}
-		return
-	}
-	kids := make([]*stats.Observer, len(m.engines))
-	for s, e := range m.engines {
-		kids[s] = o.ShardChild(e.Now, e.DispatchTag)
-		m.shardViews[s].AttachObserver(kids[s])
-	}
-	m.obsKids = kids
-	m.net.SetShardObservers(kids)
-	if probe {
-		for s, e := range m.engines {
-			kid := kids[s]
-			e.SetOnEvent(func(at sim.Cycles, kind int) {
-				kid.EmitAt(at, stats.EvEngineDispatch, -1, uint8(kind), 0, 0, 0)
-			})
-		}
+	if probe || sample != nil {
+		m.eng.SetOnEvent(func(at sim.Cycles, kind int) {
+			if sample != nil {
+				sample(at)
+			}
+			if probe {
+				o.EmitAt(at, stats.EvEngineDispatch, -1, uint8(kind), 0, 0, 0)
+			}
+		})
 	}
 }
 
@@ -370,10 +326,7 @@ func (m *Machine) attachObserver(o *stats.Observer) {
 // schedule (and the run's elapsed time) is identical with or without
 // sampling; the cost is that Sample.At lands on a dispatch time, not
 // the exact boundary, and idle gaps longer than one period yield a
-// single sample covering the whole gap. A sharded run drives the same
-// closure from the lookahead barriers instead (all shards quiescent),
-// so Sample.At lands on round boundaries — coarser, but reading the
-// same counters.
+// single sample covering the whole gap.
 func (m *Machine) samplerFunc(o *stats.Observer, period sim.Cycles) func(at sim.Cycles) {
 	n := m.net.Nodes()
 	prevLink := make([]sim.Cycles, len(m.net.LinkLabels()))
@@ -436,19 +389,6 @@ func (m *Machine) Mesh() *mesh.Mesh { return m.net }
 
 // Stats returns the machine's instrumentation counters.
 func (m *Machine) Stats() *stats.Machine { return m.st }
-
-// EnableTrace starts recording protocol events (coherence messages,
-// memory operations, scheduling, stalls) in a ring keeping the newest
-// limit entries (limit <= 0 means stats.DefaultRingEvents); it returns
-// a back-compat Tracer view over the underlying structured observer.
-// It must not be combined with Config.Observe — one observer per
-// machine. New code should set Config.Observe directly and use the
-// stats.Observer API.
-func (m *Machine) EnableTrace(limit int) *stats.Tracer {
-	o := stats.NewObserver(stats.ObserveConfig{Events: limit})
-	m.attachObserver(o)
-	return stats.TracerFor(o)
-}
 
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
@@ -572,6 +512,9 @@ func (m *Machine) Run() (sim.Cycles, error) {
 		m.elapsed = m.eng.Now() - m.started
 	}
 	m.ran = true
+	if err := m.kern.Err(); err != nil {
+		return m.elapsed, fmt.Errorf("core: %w", err)
+	}
 	var stuck []string
 	for _, t := range m.threads {
 		if !t.Done() {
@@ -621,36 +564,14 @@ func (m *Machine) runSharded() {
 			started = t
 		}
 	}
-	// While rounds are in flight, kernel page operations queue as
-	// barrier work and shard observers buffer locally; both drain at
-	// every barrier below, and the brackets restore inline execution
-	// and direct emission for quiescent code after the run.
-	m.kern.BeginRounds()
-	defer m.kern.EndRounds()
-	if m.obs != nil {
-		m.obs.SetShardBuffering(true)
-		defer m.obs.SetShardBuffering(false)
-	}
+	// Page reorganizations mid-run would splice tables other shard
+	// workers own; the kernel refuses them while the rounds run.
+	m.kern.SetRunning(true)
+	defer m.kern.SetRunning(false)
 	ss := &sim.ShardSet{
 		Engines: m.engines,
 		Window:  m.net.Config().LookaheadWindow(),
 		Drain:   func() int { return m.net.DrainMail() },
-		// Barrier work runs with every shard quiescent, before the mail
-		// drain so anything it sends lands this barrier: replay the
-		// round's contended sends against the shared link queues, splice
-		// the copy-lists for deferred kernel page operations, then merge
-		// the shards' buffered observations into the master ring in
-		// dispatch-tag order and take a barrier-aligned sample.
-		BarrierWork: func() {
-			m.net.ResolveContention()
-			m.kern.RunBarrierWork()
-			if m.obs != nil {
-				m.obs.MergeShardEvents()
-				if m.sample != nil {
-					m.sample(m.lastActivity())
-				}
-			}
-		},
 	}
 	if m.inv != nil {
 		period := m.cfg.InvariantPeriod
@@ -680,12 +601,6 @@ func (m *Machine) runSharded() {
 	m.elapsed = m.lastActivity() - started
 	for _, v := range m.shardViews {
 		m.st.FoldShard(v)
-	}
-	if m.obs != nil {
-		// The final barrier already merged every buffered event; fold the
-		// children's latency histograms so the master's Metrics read as a
-		// serial run's would.
-		m.obs.FoldShardMetrics()
 	}
 }
 

@@ -162,8 +162,8 @@ func TestObserverAcceptance(t *testing.T) {
 	}
 }
 
-// TestEnableTraceWindow checks the back-compat tracer view over the
-// structured ring: windowed observers record only in [A, B]. The
+// TestEnableTraceWindow checks windowed tracing through
+// Config.Observe: a windowed observer records only in [A, B]. The
 // window starts after the first touch's lazy page fault (PageFault =
 // 2000 cycles under the default timing), inside the steady read loop.
 func TestEnableTraceWindow(t *testing.T) {
@@ -193,9 +193,7 @@ func TestEnableTraceWindow(t *testing.T) {
 			t.Fatalf("event at cycle %d outside window [2100, 2400]", e.At)
 		}
 	}
-	// The shim still renders.
-	tr := stats.TracerFor(obs)
-	if !strings.Contains(tr.Dump(), "read") {
-		t.Error("tracer dump missing read events")
+	if !strings.Contains(obs.Dump(), "read") {
+		t.Error("trace dump missing read events")
 	}
 }

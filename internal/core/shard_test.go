@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"plus/internal/core"
+	"plus/internal/kernel"
 	"plus/internal/memory"
 	"plus/internal/mesh"
 	"plus/internal/proc"
@@ -28,12 +30,6 @@ type digest struct {
 	Updates  uint64
 	Relia    stats.Reliability
 	Net      mesh.Stats
-	// Observer exports (observer legs only): the full merged event
-	// stream, the total pushed count (ring eviction included), and the
-	// folded latency histograms.
-	Events     []string
-	EventCount uint64
-	Metrics    stats.Metrics
 }
 
 const (
@@ -48,7 +44,7 @@ const (
 // delayed RMWs, fences and compute against a shared page set, some
 // pages replicated — on the given shard count, and returns its digest.
 // Optional mods mutate the machine config before construction
-// (contention, an observer, SwitchOnSync, ...).
+// (SwitchOnSync, ...).
 func runRandom(t *testing.T, shards int, seed int64, faults mesh.FaultConfig, batchWrites, threads int, mods ...func(*core.Config)) digest {
 	t.Helper()
 	cfg := core.DefaultConfig(fuzzMeshW, fuzzMeshH)
@@ -130,13 +126,6 @@ func runRandom(t *testing.T, shards int, seed int64, faults mesh.FaultConfig, ba
 		}
 		d.Image[pg] = img
 	}
-	if o := cfg.Observe; o != nil {
-		for _, ev := range o.Events() {
-			d.Events = append(d.Events, ev.String())
-		}
-		d.EventCount = o.EventCount()
-		d.Metrics = o.Metrics
-	}
 	return d
 }
 
@@ -167,17 +156,6 @@ func diffDigest(t *testing.T, want, got digest, label string) {
 			}
 		}
 	}
-	if len(want.Events) != len(got.Events) {
-		t.Errorf("%s: %d observer events, serial %d (pushed %d vs %d)",
-			label, len(got.Events), len(want.Events), got.EventCount, want.EventCount)
-	} else {
-		for i := range want.Events {
-			if want.Events[i] != got.Events[i] {
-				t.Errorf("%s: event[%d] = %q, serial %q", label, i, got.Events[i], want.Events[i])
-				break
-			}
-		}
-	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("%s: digest differs from serial run (counters: got %+v msgs=%d, want %+v msgs=%d; net got %+v want %+v; reliability got %+v want %+v)",
 			label, got.Totals, got.Messages, want.Totals, want.Messages, got.Net, want.Net, got.Relia, want.Relia)
@@ -187,20 +165,12 @@ func diffDigest(t *testing.T, want, got digest, label string) {
 // TestShardEquivalenceFuzz runs seeded random programs serially and on
 // 2, 4 and 8 shards and requires byte-identical digests: same elapsed
 // cycles, same per-thread values and timestamps, same memory images,
-// same counters — and for observed legs, the same merged event stream
-// and latency histograms. Seven legs stress the paths most likely to
-// diverge: the plain protocol, the unreliable network (per-source-node
-// fault PRNGs, retransmission timers), write combining (multi-word
-// batches interacting with the lookahead window), link contention
-// (mid-round sends replayed at barriers in dispatch-tag order), a
-// structured observer (shard-local buffers merged by tag), contention
-// and observation together, and two SwitchOnSync threads per node, so
-// every shard worker switches between live coroutines.
+// same counters. Four legs stress the paths most likely to diverge:
+// the plain protocol, the unreliable network (per-source-node fault
+// PRNGs, retransmission timers), write combining (multi-word batches
+// interacting with the lookahead window), and two SwitchOnSync threads
+// per node, so every shard worker switches between live coroutines.
 func TestShardEquivalenceFuzz(t *testing.T) {
-	contention := func(c *core.Config) { c.NetContention = true }
-	observe := func(c *core.Config) {
-		c.Observe = stats.NewObserver(stats.ObserveConfig{Events: 1 << 15, EngineEvents: true})
-	}
 	switchOnSync := func(c *core.Config) { c.Mode, c.SwitchCost = proc.SwitchOnSync, 40 }
 	legs := []struct {
 		name    string
@@ -214,9 +184,6 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 			Seed: 11, DropRate: 0.02, DupRate: 0.02, DelayRate: 0.03, DelayMax: 40,
 		}},
 		{name: "combining", batch: 4},
-		{name: "contention", batch: 1, mods: []func(*core.Config){contention}},
-		{name: "observer", batch: 1, mods: []func(*core.Config){observe}},
-		{name: "contention+observer", batch: 1, mods: []func(*core.Config){contention, observe}},
 		{name: "switch-on-sync", batch: 1, threads: 2, mods: []func(*core.Config){switchOnSync}},
 	}
 	seeds := []int64{1, 42}
@@ -238,100 +205,94 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 	}
 }
 
-// kernelOpsDigest captures what a mid-run kernel page operation must
-// preserve across shard counts: the final copy-list of every page
-// (master first, in list order) and the final memory image. Timing is
-// deliberately absent — a sharded run splices copy-lists at the next
-// lookahead barrier rather than at the triggering instant, so elapsed
-// cycles may differ; the protocol-level outcome may not.
-type kernelOpsDigest struct {
-	Copies [][]mesh.NodeID
-	Image  [][]memory.Word
-}
-
-// runKernelOps executes a program whose threads issue runtime
-// Replicate calls mid-run — from their own nodes, while
-// traffic to the affected pages is in flight — and returns the
-// copy-list and memory digest.
-func runKernelOps(t *testing.T, shards int) kernelOpsDigest {
-	t.Helper()
-	cfg := core.DefaultConfig(fuzzMeshW, fuzzMeshH)
-	cfg.Shards = shards
-	m, err := core.NewMachine(cfg)
-	if err != nil {
-		t.Fatalf("NewMachine(shards=%d): %v", shards, err)
+// TestShardRejectsSerialOnly pins the serial-only gates. On a sharded
+// machine, each serial-only feature makes NewMachine fail with an
+// error naming the feature and telling the caller to run serially, and
+// a thread that reorganizes pages mid-run makes Run fail naming the
+// operation (the kernel records the refusal: a panic on a shard
+// worker goroutine would kill the process).
+func TestShardRejectsSerialOnly(t *testing.T) {
+	build := []struct {
+		feature string
+		mod     func(*core.Config)
+	}{
+		{"crash injection", func(c *core.Config) {
+			c.Faults.Crashes = []mesh.CrashEvent{{Node: 1, At: 100, Duration: 50}}
+		}},
+		{"LinkBufFlits", func(c *core.Config) {
+			c.NetContention = true
+			c.Faults.LinkBufFlits = 8
+		}},
+		{"Contention", func(c *core.Config) { c.NetContention = true }},
+		{"Observe", func(c *core.Config) { c.Observe = stats.NewObserver(stats.ObserveConfig{}) }},
+		{"CompetitiveThreshold", func(c *core.Config) { c.CompetitiveThreshold = 4 }},
 	}
-	n := m.Nodes()
-	bases := make([]memory.VAddr, fuzzPages)
-	for pg := 0; pg < fuzzPages; pg++ {
-		bases[pg] = m.Alloc(mesh.NodeID((pg*3)%n), 1)
-		for off := 0; off < memory.PageWords; off++ {
-			m.Poke(bases[pg]+memory.VAddr(off), memory.Word(uint32(pg*memory.PageWords+off)))
-		}
-	}
-	for node := 0; node < n; node++ {
-		node := node
-		m.SpawnNamed(mesh.NodeID(node), fmt.Sprintf("kop%d", node), func(th *proc.Thread) {
-			rng := rand.New(rand.NewSource(900 + int64(node)))
-			for op := 0; op < 120; op++ {
-				pg := rng.Intn(fuzzPages)
-				va := bases[pg] + memory.VAddr(rng.Intn(memory.PageWords))
-				switch op % 6 {
-				case 0, 1:
-					th.Read(va)
-				case 2:
-					th.Write(va, memory.Word(rng.Uint32()))
-				case 3:
-					th.Fence()
-				case 4:
-					th.Compute(sim.Cycles(1 + rng.Intn(40)))
-				case 5:
-					// Every node pulls a copy of a page it touches onto
-					// itself mid-run, with its own and other nodes' traffic
-					// to the page still in flight; serially the splice is
-					// immediate, sharded it lands at the next barrier.
-					m.Kernel().Replicate(va.Page(), mesh.NodeID(node), nil)
+	for _, tc := range build {
+		t.Run(tc.feature, func(t *testing.T) {
+			cfg := core.DefaultConfig(fuzzMeshW, fuzzMeshH)
+			tc.mod(&cfg)
+			if _, err := core.NewMachine(cfg); err != nil {
+				t.Fatalf("serial NewMachine: %v", err)
+			}
+			cfg.Shards = 2
+			_, err := core.NewMachine(cfg)
+			if err == nil {
+				t.Fatal("sharded NewMachine: want error, got nil")
+			}
+			for _, sub := range []string{tc.feature, "serial-only", "Shards <= 1"} {
+				if !strings.Contains(err.Error(), sub) {
+					t.Errorf("error %q missing %q", err, sub)
 				}
 			}
 		})
 	}
-	if _, err := m.Run(); err != nil {
-		t.Fatalf("Run(shards=%d): %v", shards, err)
-	}
-	d := kernelOpsDigest{
-		Copies: make([][]mesh.NodeID, fuzzPages),
-		Image:  make([][]memory.Word, fuzzPages),
-	}
-	for pg := 0; pg < fuzzPages; pg++ {
-		d.Copies[pg] = m.Kernel().CopyNodes(bases[pg].Page())
-		img := make([]memory.Word, memory.PageWords)
-		for off := range img {
-			img[off] = m.Peek(bases[pg] + memory.VAddr(off))
-		}
-		d.Image[pg] = img
-	}
-	return d
-}
 
-// TestShardKernelOpsAtBarriers pins the kernel gate lift: runtime
-// Replicate issued mid-run lands as barrier work on a
-// sharded machine and produce exactly the serial run's copy-lists
-// (same nodes, same path-length order) and a coherent, identical
-// memory image for every shard count.
-func TestShardKernelOpsAtBarriers(t *testing.T) {
-	serial := runKernelOps(t, 1)
-	for pg, list := range serial.Copies {
-		if len(list) < 2 {
-			t.Fatalf("page %d never replicated (copy-list %v) — the test lost its point", pg, list)
-		}
+	// Every node reorganizes its own page at once, so on a sharded
+	// machine the refusals race across shard workers.
+	ops := []struct {
+		op string
+		do func(k *kernel.Kernel, vp memory.VPage, node, copyNode mesh.NodeID)
+	}{
+		{"Replicate", func(k *kernel.Kernel, vp memory.VPage, node, _ mesh.NodeID) { k.Replicate(vp, node, nil) }},
+		{"DeleteCopy", func(k *kernel.Kernel, vp memory.VPage, _, copyNode mesh.NodeID) { k.DeleteCopy(vp, copyNode) }},
+		{"Migrate", func(k *kernel.Kernel, vp memory.VPage, node, copyNode mesh.NodeID) { k.Migrate(vp, copyNode, node) }},
 	}
-	for _, k := range []int{2, 4, 8} {
-		got := runKernelOps(t, k)
-		if !reflect.DeepEqual(serial.Copies, got.Copies) {
-			t.Errorf("shards=%d: copy-lists diverged from serial:\n got %v\nwant %v", k, got.Copies, serial.Copies)
-		}
-		if !reflect.DeepEqual(serial.Image, got.Image) {
-			t.Errorf("shards=%d: final memory image diverged from serial", k)
-		}
+	for _, tc := range ops {
+		t.Run(tc.op, func(t *testing.T) {
+			run := func(shards int) error {
+				cfg := core.DefaultConfig(fuzzMeshW, fuzzMeshH)
+				cfg.Shards = shards
+				m, err := core.NewMachine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := m.Nodes()
+				for node := 0; node < n; node++ {
+					node := mesh.NodeID(node)
+					copyNode := (node + 4) % mesh.NodeID(n)
+					va := m.Alloc((node+8)%mesh.NodeID(n), 1)
+					m.Replicate(va, copyNode)
+					m.Spawn(node, func(th *proc.Thread) {
+						th.Read(va)
+						tc.do(m.Kernel(), va.Page(), node, copyNode)
+						th.Compute(10)
+					})
+				}
+				_, err = m.Run()
+				return err
+			}
+			if err := run(1); err != nil {
+				t.Fatalf("serial run: %v", err)
+			}
+			err := run(2)
+			if err == nil {
+				t.Fatal("sharded run: want error, got nil")
+			}
+			for _, sub := range []string{tc.op, "sharded run", "serial-only"} {
+				if !strings.Contains(err.Error(), sub) {
+					t.Errorf("error %q missing %q", err, sub)
+				}
+			}
+		})
 	}
 }

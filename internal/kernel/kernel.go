@@ -11,6 +11,7 @@ package kernel
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"plus/internal/coherence"
@@ -48,13 +49,10 @@ type Kernel struct {
 	threshold uint64
 	refCounts []map[memory.VPage]uint64
 	// replicating[node] marks pages with a competitive replication in
-	// flight toward that node. Per-node maps: each is written only by
-	// its node's own triggers and completions, so under sharding every
-	// map stays on its owner's shard.
+	// flight toward that node.
 	replicating []map[memory.VPage]bool
-	// Replications counts competitive replications triggered. Mutated
-	// only with the machine quiescent (inline in serial runs, at
-	// lookahead barriers in sharded ones).
+	// Replications counts competitive replications triggered (a
+	// serial-only policy, so never mutated by shard workers).
 	Replications uint64
 
 	// copiesInFlight counts background replications whose bulk page copy
@@ -65,16 +63,15 @@ type Kernel struct {
 	// retire copies in the same round.
 	copiesInFlight atomic.Int64
 
-	// barrierQ[shard] holds the page reorganizations requested
-	// mid-round (sharded runs only; nil otherwise): copy-list splices
-	// mutate other shards' CM and MMU tables in place, which is only
-	// safe with every worker quiescent. Only the owning shard's worker
-	// appends — so each queue sits in its engine's dispatch order —
-	// and RunBarrierWork head-merges the queues at the next barrier.
-	// inRounds marks the window (BeginRounds/EndRounds) in which
-	// reorganizations must defer.
-	barrierQ [][]barrierOp
-	inRounds bool
+	// running marks a sharded machine's Run in progress (SetRunning).
+	// A page reorganization would then splice CM and MMU tables that
+	// other shard workers own, so it is refused instead, and the first
+	// refusal is kept in err for Machine.Run to return: a panic on a
+	// shard worker goroutine would kill the process. errMu serializes
+	// refusals from concurrent shard workers.
+	running bool
+	errMu   sync.Mutex
+	err     error
 
 	// Crash/failover bookkeeping (failover.go; nil on runs without a
 	// crash script). failed holds each failed-over node's pre-crash
@@ -87,26 +84,6 @@ type Kernel struct {
 	lost      map[mesh.NodeID]map[memory.PPage]memory.VPage
 }
 
-// barrierOp is one page reorganization deferred to the next lookahead
-// barrier, logged under the acting node's dispatch tag so the barrier
-// replays requests in the exact order a serial engine would have
-// executed them.
-type barrierOp struct {
-	tag  sim.DispatchTag
-	kind uint8
-	vp   memory.VPage
-	node mesh.NodeID // acting node: new-copy holder (replicate/competitive), victim (delete), destination (migrate)
-	from mesh.NodeID // migrate only: the node losing its copy
-	done func()
-}
-
-const (
-	opReplicate uint8 = iota
-	opDelete
-	opMigrate
-	opCompetitive
-)
-
 // New assembles the kernel over the machine's nodes.
 func New(eng *sim.Engine, net *mesh.Mesh, cms []*coherence.CM, mems []*memory.Memory, tables []*mmu.Table, tm timing.Timing, st *stats.Machine) *Kernel {
 	refs := make([]map[memory.VPage]uint64, net.Nodes())
@@ -115,7 +92,7 @@ func New(eng *sim.Engine, net *mesh.Mesh, cms []*coherence.CM, mems []*memory.Me
 		refs[i] = make(map[memory.VPage]uint64)
 		repl[i] = make(map[memory.VPage]bool)
 	}
-	k := &Kernel{
+	return &Kernel{
 		eng:         eng,
 		net:         net,
 		cms:         cms,
@@ -127,71 +104,35 @@ func New(eng *sim.Engine, net *mesh.Mesh, cms []*coherence.CM, mems []*memory.Me
 		refCounts:   refs,
 		replicating: repl,
 	}
-	if net.Config().ShardCount() > 1 {
-		k.barrierQ = make([][]barrierOp, net.Config().ShardCount())
-	}
-	return k
 }
 
 // sharded reports whether the machine runs on more than one shard.
-// Crash failover — which rewrites copy-lists and transport state in a
-// multi-step epoch — is still serial-only; the page-reorganization
-// services run sharded by deferring to barrier work (RunBarrierWork).
+// Crash failover, which rewrites copy-lists and transport state in a
+// multi-step epoch, is serial-only.
 func (k *Kernel) sharded() bool { return k.net.Config().ShardCount() > 1 }
 
-// BeginRounds marks the start of a sharded run's rounds: until
-// EndRounds, page reorganizations defer to barrier work instead of
-// splicing shared state mid-round. core brackets ShardSet.Run with
-// these; outside the bracket (setup, between runs) the machine is
-// quiescent and reorganizations execute inline exactly as in serial
-// runs.
-func (k *Kernel) BeginRounds() { k.inRounds = true }
+// SetRunning brackets a sharded machine's Run; core sets it around the
+// shard rounds. While it is on, Replicate, DeleteCopy and Migrate are
+// refused and recorded for Err. Quiescent callers (setup, between
+// runs) reorganize pages for any shard count.
+func (k *Kernel) SetRunning(on bool) { k.running = on }
 
-// EndRounds closes the deferral window opened by BeginRounds.
-func (k *Kernel) EndRounds() { k.inRounds = false }
+// Err returns the first page reorganization refused during a sharded
+// run, or nil. Read it with the machine quiescent.
+func (k *Kernel) Err() error { return k.err }
 
-// enqueue logs one deferred reorganization under the acting node's
-// current dispatch tag. Mid-round requests must come from code running
-// on the shard that owns the acting node — true for every in-tree
-// caller: competitive triggers fire on the referencing node, and
-// threads reorganize copies on their own node — so the append touches
-// only the calling shard's queue.
-func (k *Kernel) enqueue(op barrierOp) {
-	op.tag = k.net.EngineFor(op.node).DispatchTag()
-	k.barrierQ[k.net.ShardOf(op.node)] = append(k.barrierQ[k.net.ShardOf(op.node)], op)
-}
-
-// RunBarrierWork executes the page reorganizations deferred during
-// the finished round, in the order a single serial engine would have
-// reached them — each shard's queue is already in its engine's
-// dispatch order, and sim.MergeByTag interleaves the queues by head
-// dispatch key — with every shard worker quiescent. core wires it
-// into the shard runner's barrier, before cross-shard mail drains, so
-// messages the splices send (page-copy traffic) are delivered in the
-// same barrier.
-func (k *Kernel) RunBarrierWork() {
-	if k.barrierQ == nil {
-		return
+// refuse reports whether op on vp must be refused because a sharded
+// run is in progress, recording the first refusal for Err.
+func (k *Kernel) refuse(op string, vp memory.VPage) bool {
+	if !k.running {
+		return false
 	}
-	sim.MergeByTag(k.barrierQ,
-		func(op *barrierOp) sim.DispatchTag { return op.tag },
-		func(op *barrierOp) {
-			switch op.kind {
-			case opReplicate:
-				k.replicateBG(op.vp, op.node, op.done)
-			case opDelete:
-				k.deleteCopyNow(op.vp, op.node)
-			case opMigrate:
-				k.ReplicateNow(op.vp, op.node)
-				k.deleteCopyNow(op.vp, op.from)
-			case opCompetitive:
-				k.competitiveNow(op.vp, op.node)
-			}
-			op.done = nil
-		})
-	for i := range k.barrierQ {
-		k.barrierQ[i] = k.barrierQ[i][:0]
+	k.errMu.Lock()
+	if k.err == nil {
+		k.err = fmt.Errorf("kernel: %s of page %d during a sharded run: runtime page operations are serial-only; run with Shards <= 1", op, vp)
 	}
+	k.errMu.Unlock()
+	return true
 }
 
 // SetCompetitiveThreshold enables the competitive replication policy:
@@ -320,23 +261,12 @@ func (k *Kernel) ReplicateNow(vp memory.VPage, node mesh.NodeID) {
 // concurrent writes propagate through it while the bulk data is in
 // flight — and then the hardware copies the page from the predecessor.
 // done fires when the copy is complete and the node's mapping has been
-// switched to the local copy.
-//
-// Mid-round in a sharded run, the splice — which rewrites other
-// shards' CM tables in place — defers to the next lookahead barrier as
-// a work item; the request must then come from code running on node's
-// own shard (see enqueue). Quiescent callers (setup, between runs) run
-// inline for any shard count.
+// switched to the local copy. During a sharded run the call is refused
+// (see SetRunning) and done never fires.
 func (k *Kernel) Replicate(vp memory.VPage, node mesh.NodeID, done func()) {
-	if k.inRounds {
-		k.enqueue(barrierOp{kind: opReplicate, vp: vp, node: node, done: done})
+	if k.refuse("Replicate", vp) {
 		return
 	}
-	k.replicateBG(vp, node, done)
-}
-
-// replicateBG is Replicate's body, run with the machine quiescent.
-func (k *Kernel) replicateBG(vp memory.VPage, node mesh.NodeID, done func()) {
 	if k.HasCopy(vp, node) {
 		if done != nil {
 			done()
@@ -400,21 +330,11 @@ func (k *Kernel) splice(vp memory.VPage, pos int, gp memory.GPage) {
 // delayed operations in flight); the kernel verifies machine-wide
 // write quiescence and panics otherwise — the simulated workloads
 // fence before reorganizing memory, exactly as real software must.
-//
-// Mid-round in a sharded run the deletion defers to the next lookahead
-// barrier (the quiescence check and table rewrites need every worker
-// stopped); the copy disappears at the round boundary rather than at
-// the call instant. Quiescent callers run inline for any shard count.
+// During a sharded run the call is refused (see SetRunning).
 func (k *Kernel) DeleteCopy(vp memory.VPage, node mesh.NodeID) {
-	if k.inRounds {
-		k.enqueue(barrierOp{kind: opDelete, vp: vp, node: node})
+	if k.refuse("DeleteCopy", vp) {
 		return
 	}
-	k.deleteCopyNow(vp, node)
-}
-
-// deleteCopyNow is DeleteCopy's body, run with the machine quiescent.
-func (k *Kernel) deleteCopyNow(vp memory.VPage, node mesh.NodeID) {
 	for _, cm := range k.cms {
 		if cm.PendingCount() != 0 {
 			panic("kernel: DeleteCopy while writes are in flight")
@@ -469,16 +389,14 @@ func (k *Kernel) deleteCopyNow(vp memory.VPage, node mesh.NodeID) {
 // Migrate moves vp's copy from one node to another: create the new
 // copy, then delete the old one (§2.4: "Page migration is achieved
 // simply by creating a copy and then deleting the old one"). The
-// machine must be write-quiescent, as for DeleteCopy. Mid-round in a
-// sharded run the whole move defers to the next barrier as one work
-// item (requested from to's shard).
+// machine must be write-quiescent, as for DeleteCopy. During a sharded
+// run the call is refused (see SetRunning).
 func (k *Kernel) Migrate(vp memory.VPage, from, to mesh.NodeID) {
-	if k.inRounds {
-		k.enqueue(barrierOp{kind: opMigrate, vp: vp, node: to, from: from})
+	if k.refuse("Migrate", vp) {
 		return
 	}
 	k.ReplicateNow(vp, to)
-	k.deleteCopyNow(vp, from)
+	k.DeleteCopy(vp, from)
 }
 
 // NoteRemoteRef is called by the processor layer on every reference
@@ -495,29 +413,15 @@ func (k *Kernel) NoteRemoteRef(node mesh.NodeID, vp memory.VPage) {
 		return
 	}
 	if refs[vp] >= k.threshold && !k.replicating[node][vp] && !k.HasCopy(vp, node) {
-		// The guard is node-local state, set at the trigger so repeated
-		// references this round don't re-trigger; the splice itself (and
-		// the machine-wide Replications tally) waits for quiescence.
+		// The guard is set at the trigger so repeated references while
+		// the copy is in flight don't re-trigger.
 		k.replicating[node][vp] = true
-		if k.inRounds {
-			k.enqueue(barrierOp{kind: opCompetitive, vp: vp, node: node})
-			return
-		}
-		k.competitiveNow(vp, node)
+		k.Replications++
+		k.Replicate(vp, node, func() {
+			k.replicating[node][vp] = false
+			refs[vp] = 0
+		})
 	}
-}
-
-// competitiveNow performs one competitive replication trigger with the
-// machine quiescent: inline at the trigger in serial runs, at the next
-// lookahead barrier in sharded ones.
-func (k *Kernel) competitiveNow(vp memory.VPage, node mesh.NodeID) {
-	k.Replications++
-	refs := k.refCounts[node]
-	k.replicateBG(vp, node, func() {
-		// Fires on node's own shard when the bulk copy lands there.
-		k.replicating[node][vp] = false
-		refs[vp] = 0
-	})
 }
 
 // RemoteRefProfile returns a copy of the hardware reference counters:

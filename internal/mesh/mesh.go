@@ -65,10 +65,8 @@ type Config struct {
 	// Shards partitions the mesh into that many equal contiguous
 	// row-major bands of nodes, each simulated on its own event queue
 	// under conservative lookahead (0 or 1 = serial). The shard count
-	// must tile the mesh: Width*Height divisible by Shards. With
-	// Contention on, contended sends are logged per shard and replayed
-	// against the shared per-link queues at each lookahead barrier, in
-	// dispatch-tag order — byte-identical to the serial schedule.
+	// must tile the mesh: Width*Height divisible by Shards. Contention,
+	// bounded link buffers and crash scripts are serial-only.
 	Shards int
 }
 
@@ -185,6 +183,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mesh: LinkBufFlits requires the contention model (bounded buffers bound the contention queues)")
 	case c.Faults.LinkBufFlits > 0 && c.Shards > 1:
 		return fmt.Errorf("mesh: LinkBufFlits is serial-only (admission reads the shared link queues mid-round, and the NACK bounce at +Base cycles is inside the lookahead window); run with Shards <= 1")
+	case c.Contention && c.Shards > 1:
+		return fmt.Errorf("mesh: Contention (the link-contention model) is serial-only (every send reserves per-link queues that no shard owns); run with Shards <= 1")
 	case c.Faults.DelayRate > 0 && c.Faults.DelayMax < 1:
 		return fmt.Errorf("mesh: DelayRate %v requires DelayMax >= 1", c.Faults.DelayRate)
 	case c.Faults.CrashDetectAfter < 0:
@@ -384,27 +384,6 @@ type mailEntry struct {
 	data any
 }
 
-// pendingSend is one contended send deferred to the next lookahead
-// barrier (sharded contention only). Every PRNG and tie-break-key
-// draw already happened at Send time, in serial draw order; what
-// remains is the walk over the shared per-link queues, which
-// ResolveContention replays in dispatch-tag order so linkFree evolves
-// through exactly the serial sequence of reservations.
-type pendingSend struct {
-	tag      sim.DispatchTag // enclosing dispatch: the Send call's global serial position
-	hopTags  sim.DispatchTag // first of hops pre-reserved tag slots for EvNetHop (observer on)
-	sendT    sim.Cycles
-	src, dst NodeID
-	flits    int
-	ms       *Msg
-	msLane   int32 // pre-drawn delivery key for ms
-	msSeq    uint64
-	dup      *Msg // non-nil: fault injector duplicated the message
-	dupLane  int32
-	dupSeq   uint64
-	extra    sim.Cycles // fault-injected delay on the original
-}
-
 // Mesh is the interconnection network. It is not safe for concurrent
 // use; like every simulated component it runs under the engine's
 // single logical thread — or, sharded, under each shard engine's
@@ -424,16 +403,9 @@ type Mesh struct {
 	// linkSlot[from*4+dir] indexes linkFree for the directed link
 	// leaving from in direction dir, or -1 where the mesh edge has no
 	// such link. linkFree has exactly one entry per physical directed
-	// link. Used only when Contention is on; sharded runs touch it
-	// only at barriers (ResolveContention), never mid-round.
+	// link. Used only when Contention is on, which is serial-only.
 	linkSlot []int32
 	linkFree []sim.Cycles
-	// pending[srcShard] logs contended sends deferred to the next
-	// lookahead barrier (sharded contention only; nil otherwise).
-	// Only the owning shard's worker appends — so each list sits in
-	// its engine's dispatch order — and ResolveContention head-merges
-	// the lists with every worker quiescent.
-	pending [][]pendingSend
 	// pools holds one message free-list per shard.
 	pools []msgPool
 	// frands drives the fault model, one PRNG per source node (keyed by
@@ -448,16 +420,12 @@ type Mesh struct {
 	// shStats accumulates network statistics per shard (all writes
 	// happen on the sending shard); Stats() sums the blocks.
 	shStats []Stats
-	// obs, when non-nil, holds the structured-event observers: one
-	// entry for a serial mesh (the master observer), one child per
-	// shard for a sharded mesh (stats.Observer.ShardChild, merged at
-	// barriers by core). Every emission goes through the acting node's
-	// shard entry. linkBusy mirrors the layout — [shard][link]
-	// occupancy cycles, summed by LinkBusyTotals — so mid-round hop
-	// accounting never crosses shard workers. Both are inert (single
-	// nil check) when tracing is off.
-	obs      []*stats.Observer
-	linkBusy [][]sim.Cycles
+	// obs, when non-nil, is the structured-event observer (serial
+	// meshes only), and linkBusy holds each directed link's
+	// accumulated occupancy cycles for LinkBusyTotals. Both are inert
+	// (single nil check) when tracing is off.
+	obs      *stats.Observer
+	linkBusy []sim.Cycles
 }
 
 // New creates a serial mesh. Ports are registered per node with Attach
@@ -499,9 +467,6 @@ func newMesh(engines []*sim.Engine, cfg Config) *Mesh {
 	}
 	for id := 0; id < n; id++ {
 		m.shardOf[id] = int32(cfg.ShardOf(NodeID(id)))
-	}
-	if k > 1 && cfg.Contention {
-		m.pending = make([][]pendingSend, k)
 	}
 	if cfg.Faults.lossy() {
 		m.frands = make([]*rand.Rand, n)
@@ -607,52 +572,18 @@ func (m *Mesh) DrainMail() int {
 	return moved
 }
 
-// SetObserver attaches the structured-event observer for a serial
-// mesh (nil = tracing off, the default). core.NewMachine wires this;
-// with no observer the send path performs a single nil check and
-// nothing else. Sharded meshes take one child observer per shard via
-// SetShardObservers instead.
+// SetObserver attaches the structured-event observer (nil = tracing
+// off, the default). core.NewMachine wires this; with no observer the
+// send path performs a single nil check and nothing else. Tracing is
+// serial-only: a sharded mesh panics.
 func (m *Mesh) SetObserver(o *stats.Observer) {
 	if len(m.engines) > 1 {
-		panic("mesh: SetObserver on a sharded mesh (use SetShardObservers with one child per shard)")
+		panic("mesh: SetObserver on a sharded mesh (tracing is serial-only)")
 	}
-	if o == nil {
-		m.obs = nil
-		return
+	m.obs = o
+	if o != nil && m.linkBusy == nil {
+		m.linkBusy = make([]sim.Cycles, len(m.linkFree))
 	}
-	m.obs = []*stats.Observer{o}
-	m.ensureLinkBusy()
-}
-
-// SetShardObservers attaches one observer per shard — the master
-// observer's ShardChild children, which core merges deterministically
-// at each lookahead barrier. Emissions go through the acting node's
-// shard entry, so no ring or histogram is ever touched by two shard
-// workers.
-func (m *Mesh) SetShardObservers(obs []*stats.Observer) {
-	if len(obs) != len(m.engines) {
-		panic(fmt.Sprintf("mesh: SetShardObservers with %d observers for %d shards", len(obs), len(m.engines)))
-	}
-	m.obs = obs
-	m.ensureLinkBusy()
-}
-
-func (m *Mesh) ensureLinkBusy() {
-	if m.linkBusy == nil {
-		m.linkBusy = make([][]sim.Cycles, len(m.engines))
-		for i := range m.linkBusy {
-			m.linkBusy[i] = make([]sim.Cycles, len(m.linkFree))
-		}
-	}
-}
-
-// obsFor returns the observer serving a shard (nil when tracing is
-// off).
-func (m *Mesh) obsFor(shard int32) *stats.Observer {
-	if m.obs == nil {
-		return nil
-	}
-	return m.obs[shard]
 }
 
 // LinkLabels names every physical directed link in dense-slot order
@@ -683,22 +614,15 @@ func (m *Mesh) LinkLabels() []string {
 	return labels
 }
 
-// LinkBusyTotals returns each directed link's accumulated occupancy in
-// cycles, summed over shards (observer attached only; nil otherwise).
-// The sampler differs successive snapshots into per-interval
-// utilization. Call with the simulation quiescent — serial, between
-// runs, or at a lookahead barrier.
+// LinkBusyTotals returns a snapshot of each directed link's
+// accumulated occupancy in cycles (observer attached only; nil
+// otherwise). The sampler differs successive snapshots into
+// per-interval utilization.
 func (m *Mesh) LinkBusyTotals() []sim.Cycles {
 	if m.linkBusy == nil {
 		return nil
 	}
-	out := make([]sim.Cycles, len(m.linkFree))
-	for _, shard := range m.linkBusy {
-		for i, v := range shard {
-			out[i] += v
-		}
-	}
-	return out
+	return append([]sim.Cycles(nil), m.linkBusy...)
 }
 
 // LinkBacklog returns each directed link's queued traffic at the
@@ -859,27 +783,51 @@ func (m *Mesh) linkIndex(from NodeID, dir int) int {
 	return int(slot)
 }
 
+// route walks a dimension-ordered path (X first, then Y) one hop at a
+// time, without materializing it: the walk every hop-by-hop consumer
+// (admission, contention, hop events, Path) shares.
+type route struct {
+	x, y, dx, dy, w int
+}
+
+// route starts a walk from src toward dst.
+func (m *Mesh) route(src, dst NodeID) route {
+	x, y := m.Coord(src)
+	dx, dy := m.Coord(dst)
+	return route{x: x, y: y, dx: dx, dy: dy, w: m.cfg.Width}
+}
+
+// next takes one hop and returns the node it leaves and its direction;
+// ok is false once the walk has reached its destination.
+func (r *route) next() (from NodeID, dir int, ok bool) {
+	from = r.at()
+	switch {
+	case r.x < r.dx:
+		r.x++
+		return from, dirEast, true
+	case r.x > r.dx:
+		r.x--
+		return from, dirWest, true
+	case r.y < r.dy:
+		r.y++
+		return from, dirSouth, true
+	case r.y > r.dy:
+		r.y--
+		return from, dirNorth, true
+	}
+	return from, 0, false
+}
+
+// at returns the node the walk has reached.
+func (r *route) at() NodeID { return NodeID(r.y*r.w + r.x) }
+
 // Path returns the sequence of nodes visited by dimension-order
 // routing from src to dst, inclusive of both endpoints.
 func (m *Mesh) Path(src, dst NodeID) []NodeID {
 	path := []NodeID{src}
-	x, y := m.Coord(src)
-	dx, dy := m.Coord(dst)
-	for x != dx {
-		if x < dx {
-			x++
-		} else {
-			x--
-		}
-		path = append(path, m.ID(x, y))
-	}
-	for y != dy {
-		if y < dy {
-			y++
-		} else {
-			y--
-		}
-		path = append(path, m.ID(x, y))
+	r := m.route(src, dst)
+	for _, _, ok := r.next(); ok; _, _, ok = r.next() {
+		path = append(path, r.at())
 	}
 	return path
 }
@@ -930,7 +878,7 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 		m.FreeMsgAt(src, ms)
 		return
 	}
-	o := m.obsFor(srcShard)
+	o := m.obs
 	hops := m.Hops(src, dst)
 	contending := m.cfg.Contention && hops > 0
 	// Bounded router buffers: refuse at injection when a link on the
@@ -964,35 +912,10 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 		return
 	}
 	lat := m.Latency(src, dst)
-	// ps, when non-nil, defers this contended send to the barrier
-	// replay: mid-round, the per-link queues are shared state no shard
-	// owns. The entry is logged under the enclosing dispatch's tag —
-	// the Send call's global serial position — and all remaining PRNG
-	// and tie-break-key draws still happen here, in serial draw order,
-	// so the replay only walks the links.
-	var ps *pendingSend
 	if contending {
-		if m.pending != nil {
-			q := &m.pending[srcShard]
-			*q = append(*q, pendingSend{
-				tag:   eng.DispatchTag(),
-				sendT: eng.Now(),
-				src:   src,
-				dst:   dst,
-				flits: sizeFlits,
-				ms:    ms,
-			})
-			ps = &(*q)[len(*q)-1]
-			if o != nil {
-				// Reserve the tag slots the serial schedule would have
-				// given the per-hop events emitted right here.
-				ps.hopTags = eng.DispatchTagN(hops)
-			}
-		} else {
-			lat += m.contend(src, dst, sizeFlits, ms.Cause)
-		}
+		lat += m.contend(st, src, dst, sizeFlits, ms.Cause)
 	} else if o != nil && hops > 0 {
-		m.emitHops(srcShard, eng.Now(), src, dst, sizeFlits, ms.Cause)
+		m.emitHops(eng.Now(), src, dst, sizeFlits, ms.Cause)
 	}
 	if frand != nil {
 		// A duplicate arrives one cycle behind the original (it shares
@@ -1002,13 +925,7 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 			if o != nil {
 				o.Emit(stats.EvNetDup, int(src), ms.Kind, ms.Cause, uint64(dst), 0)
 			}
-			dup := m.CloneMsgAt(src, ms)
-			if ps != nil {
-				ps.dup = dup
-				ps.dupLane, ps.dupSeq = eng.DrawKey()
-			} else {
-				m.deliverAfter(eng, srcShard, lat+1, dup)
-			}
+			m.deliverAfter(eng, srcShard, lat+1, m.CloneMsgAt(src, ms))
 		}
 		if r := m.cfg.Faults.DelayRate; r > 0 && frand.Float64() < r {
 			st.Delayed++
@@ -1016,16 +933,8 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 			if o != nil {
 				o.Emit(stats.EvNetDelay, int(src), ms.Kind, ms.Cause, uint64(extra), 0)
 			}
-			if ps != nil {
-				ps.extra = extra
-			} else {
-				lat += extra
-			}
+			lat += extra
 		}
-	}
-	if ps != nil {
-		ps.msLane, ps.msSeq = eng.DrawKey()
-		return
 	}
 	m.deliverAfter(eng, srcShard, lat, ms)
 }
@@ -1104,7 +1013,7 @@ func (m *Mesh) HandleEvent(kind int, data any) {
 		m.FreeMsgAt(ms.Dst, ms)
 		return
 	}
-	if o := m.obsFor(m.shardOf[ms.Dst]); o != nil {
+	if o := m.obs; o != nil {
 		o.Emit(stats.EvNetDeliver, int(ms.Dst), ms.Kind, ms.Cause, uint64(ms.Src), 0)
 	}
 	m.engines[m.shardOf[ms.Dst]].SetLane(int32(ms.Dst))
@@ -1121,77 +1030,28 @@ func (m *Mesh) HandleEvent(kind int, data any) {
 func (m *Mesh) admit(src, dst NodeID) bool {
 	bufCap := sim.Cycles(m.cfg.Faults.LinkBufFlits) * m.cfg.FlitCycles
 	t := m.eng.Now()
-	x, y := m.Coord(src)
-	dx, dy := m.Coord(dst)
-	for x != dx || y != dy {
-		var dir int
-		switch {
-		case x < dx:
-			dir = dirEast
-		case x > dx:
-			dir = dirWest
-		case y < dy:
-			dir = dirSouth
-		default:
-			dir = dirNorth
-		}
-		li := m.linkIndex(m.ID(x, y), dir)
+	r := m.route(src, dst)
+	for from, dir, ok := r.next(); ok; from, dir, ok = r.next() {
+		li := m.linkIndex(from, dir)
 		if m.linkFree[li] > t && m.linkFree[li]-t > bufCap {
 			return false
-		}
-		switch dir {
-		case dirEast:
-			x++
-		case dirWest:
-			x--
-		case dirSouth:
-			y++
-		default:
-			y--
 		}
 	}
 	return true
 }
 
-// contend reserves each directed link on the path and returns the
-// extra queueing delay incurred (serial: inline at Send time).
-func (m *Mesh) contend(src, dst NodeID, sizeFlits int, cause uint64) sim.Cycles {
-	return m.contendAt(m.eng.Now(), src, dst, sizeFlits, cause, false, sim.DispatchTag{})
-}
-
-// contendAt reserves each directed link on the dimension-ordered path
-// starting from injection time t0 and returns the queueing delay
-// incurred. This is a pipelined (wormhole-like) approximation: the
-// header advances one hop per PerHop cycles once a link frees, and
-// the body occupies each link for sizeFlits*FlitCycles. The wait is
-// charged to the sending node's shard; when replayed at a barrier
-// (tagged), per-hop events are filed under the tag slots reserved at
-// Send time so the merged stream interleaves exactly like the serial
-// one.
-func (m *Mesh) contendAt(t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause uint64, tagged bool, hopTags sim.DispatchTag) sim.Cycles {
-	srcShard := m.shardOf[src]
-	o := m.obsFor(srcShard)
+// contend reserves each directed link on the dimension-ordered path
+// from the current cycle and returns the queueing delay incurred,
+// charged to st. This is a pipelined (wormhole-like) approximation:
+// the header advances one hop per PerHop cycles once a link frees, and
+// the body occupies each link for sizeFlits*FlitCycles.
+func (m *Mesh) contend(st *Stats, src, dst NodeID, sizeFlits int, cause uint64) sim.Cycles {
+	o := m.obs
 	occupancy := sim.Cycles(sizeFlits) * m.cfg.FlitCycles
 	var wait sim.Cycles
-	t := t0
-	// Walk the dimension-ordered route in place (X first, then Y)
-	// rather than materializing a Path slice per message.
-	x, y := m.Coord(src)
-	dx, dy := m.Coord(dst)
-	hop := 0
-	for x != dx || y != dy {
-		var dir int
-		switch {
-		case x < dx:
-			dir = dirEast
-		case x > dx:
-			dir = dirWest
-		case y < dy:
-			dir = dirSouth
-		default:
-			dir = dirNorth
-		}
-		from := m.ID(x, y)
+	t := m.eng.Now()
+	r := m.route(src, dst)
+	for from, dir, ok := r.next(); ok; from, dir, ok = r.next() {
 		li := m.linkIndex(from, dir)
 		var hopWait sim.Cycles
 		if m.linkFree[li] > t {
@@ -1201,108 +1061,30 @@ func (m *Mesh) contendAt(t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause ui
 		}
 		m.linkFree[li] = t + occupancy
 		if o != nil {
-			m.linkBusy[srcShard][li] += occupancy
+			m.linkBusy[li] += occupancy
 			o.Metrics.HopQueue.Observe(uint64(hopWait))
-			if tagged {
-				o.EmitAtTag(hopTags.Plus(hop), t, stats.EvNetHop, int(from), uint8(dir), cause,
-					uint64(li), uint64(occupancy))
-			} else {
-				o.EmitAt(t, stats.EvNetHop, int(from), uint8(dir), cause,
-					uint64(li), uint64(occupancy))
-			}
+			o.EmitAt(t, stats.EvNetHop, int(from), uint8(dir), cause,
+				uint64(li), uint64(occupancy))
 		}
-		hop++
 		t += m.cfg.PerHop
-		switch dir {
-		case dirEast:
-			x++
-		case dirWest:
-			x--
-		case dirSouth:
-			y++
-		default:
-			y--
-		}
 	}
-	m.shStats[srcShard].QueueWait += wait
+	st.QueueWait += wait
 	return wait
-}
-
-// ResolveContention replays the finished round's deferred contended
-// sends against the shared per-link queues in the exact order a
-// single serial engine would have walked them — each shard's pending
-// list is already in its engine's dispatch order, and sim.MergeByTag
-// interleaves the lists by head dispatch key (a flat tag sort would
-// misorder same-cycle sends whose dispatching events were scheduled
-// mid-cycle; see MergeByTag) — and injects the resulting deliveries.
-// It runs as barrier work: every shard worker quiescent, before
-// DrainMail. A contended path has at least one hop, so every arrival
-// lands at or beyond sendT + Base + PerHop — strictly past the
-// finished round's horizon, where injection is legal on any shard.
-func (m *Mesh) ResolveContention() {
-	if m.pending == nil {
-		return
-	}
-	tagged := m.obs != nil
-	sim.MergeByTag(m.pending,
-		func(ps *pendingSend) sim.DispatchTag { return ps.tag },
-		func(ps *pendingSend) {
-			lat := m.Latency(ps.src, ps.dst) +
-				m.contendAt(ps.sendT, ps.src, ps.dst, ps.flits, ps.ms.Cause, tagged, ps.hopTags)
-			dstEng := m.engines[m.shardOf[ps.ms.Dst]]
-			if ps.dup != nil {
-				// The duplicate shares the original's reservations and
-				// arrives one cycle behind it (without the delay extra),
-				// exactly as the serial injector schedules it.
-				dstEng.InjectEventAt(ps.sendT+lat+1, ps.dupLane, ps.dupSeq, m, evDeliver, ps.dup)
-			}
-			dstEng.InjectEventAt(ps.sendT+lat+ps.extra, ps.msLane, ps.msSeq, m, evDeliver, ps.ms)
-			ps.ms, ps.dup = nil, nil
-		})
-	for i := range m.pending {
-		m.pending[i] = m.pending[i][:0]
-	}
 }
 
 // emitHops records approximate per-hop link events for an uncontended
 // send (no queueing: the header advances one hop per PerHop cycles),
 // so trace exports cover every link even with the contention model
-// off. Called only when an observer is attached, on the sending
-// shard's worker — occupancy lands in the shard's own linkBusy block.
-func (m *Mesh) emitHops(srcShard int32, t sim.Cycles, src, dst NodeID, sizeFlits int, cause uint64) {
-	o := m.obs[srcShard]
-	busy := m.linkBusy[srcShard]
+// off. Called only when an observer is attached.
+func (m *Mesh) emitHops(t sim.Cycles, src, dst NodeID, sizeFlits int, cause uint64) {
 	occupancy := sim.Cycles(sizeFlits) * m.cfg.FlitCycles
-	x, y := m.Coord(src)
-	dx, dy := m.Coord(dst)
-	for x != dx || y != dy {
-		var dir int
-		switch {
-		case x < dx:
-			dir = dirEast
-		case x > dx:
-			dir = dirWest
-		case y < dy:
-			dir = dirSouth
-		default:
-			dir = dirNorth
-		}
-		from := m.ID(x, y)
+	r := m.route(src, dst)
+	for from, dir, ok := r.next(); ok; from, dir, ok = r.next() {
 		li := m.linkIndex(from, dir)
-		busy[li] += occupancy
-		o.EmitAt(t, stats.EvNetHop, int(from), uint8(dir), cause,
+		m.linkBusy[li] += occupancy
+		m.obs.EmitAt(t, stats.EvNetHop, int(from), uint8(dir), cause,
 			uint64(li), uint64(occupancy))
 		t += m.cfg.PerHop
-		switch dir {
-		case dirEast:
-			x++
-		case dirWest:
-			x--
-		case dirSouth:
-			y++
-		default:
-			y--
-		}
 	}
 }
 

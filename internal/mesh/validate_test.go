@@ -27,10 +27,9 @@ func TestValidateLargeMeshes(t *testing.T) {
 
 // TestValidateShards pins the sharding rules: the count must be
 // non-negative, at most the node count, tile the mesh exactly, and is
-// incompatible with zero link latency, bounded link buffers, and
-// crash scripts (contention and tracing are shard-aware — see the
-// equivalence fuzzer). Errors must carry enough context to fix the
-// config.
+// incompatible with zero link latency, the contention model, bounded
+// link buffers, and crash scripts. Errors must carry enough context to
+// fix the config.
 func TestValidateShards(t *testing.T) {
 	mod := func(f func(*Config)) Config {
 		cfg := DefaultConfig(4, 4)
@@ -52,7 +51,8 @@ func TestValidateShards(t *testing.T) {
 			[]string{"17 shards", "16 nodes"}},
 		{"non-tiling", mod(func(c *Config) { c.Shards = 3 }),
 			[]string{"3 shards", "do not tile", "1 left over", "divisor"}},
-		{"contention", mod(func(c *Config) { c.Shards = 4; c.Contention = true }), nil},
+		{"contention", mod(func(c *Config) { c.Shards = 4; c.Contention = true }),
+			[]string{"Contention (the link-contention model) is serial-only", "Shards <= 1"}},
 		{"link buffers", mod(func(c *Config) {
 			c.Shards = 4
 			c.Contention = true

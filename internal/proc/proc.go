@@ -101,11 +101,6 @@ func (p *Proc) Threads() []*Thread { return p.threads }
 
 func (p *Proc) nstat() *stats.Node { return &p.st.Nodes[p.node] }
 
-// Observer returns the structured-event observer this processor's
-// node emits to (the shard child on a sharded machine), or nil when
-// tracing is off.
-func (p *Proc) Observer() *stats.Observer { return p.st.Observer() }
-
 // acc returns the observer when the data-access event layer is on —
 // the single gate every EvAcc* emission in this package checks.
 func (p *Proc) acc() *stats.Observer {

@@ -102,25 +102,6 @@ type Engine struct {
 	// just before its sink runs — the observability layer's engine
 	// probe. Nil (one comparison per Step) when tracing is off.
 	onEvent func(at Cycles, kind int)
-	// tagAt/tagLane/tagSeq hold the heap key of the event currently
-	// dispatching, tagCtr counts DispatchTag draws within it, and
-	// tagOrd numbers this engine's dispatches in execution order. The
-	// key triple is unique across all shards of one run; the ordinal
-	// orders work within one engine (dispatch order is NOT key order —
-	// see DispatchTag). Together they let deferred work be replayed in
-	// the exact order a serial engine would have reached it (MergeByTag).
-	tagAt   Cycles
-	tagLane int32
-	tagSeq  uint64
-	tagCtr  uint64
-	tagOrd  uint64
-	// strictWait disables AdvanceIf, forcing every coroutine wait onto
-	// the schedule-wake/park slow path. The slow path yields the same
-	// schedule (AdvanceIf is schedule-neutral) but guarantees that all
-	// simulated activity runs inside a dispatched event, so DispatchTag
-	// is always the key of a real heap event. Required whenever logged
-	// work is re-ordered by tag (deferred contention, shard observers).
-	strictWait bool
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -157,91 +138,6 @@ func (e *Engine) Pending() int { return len(e.pq) }
 // remove). The hook must not schedule or mutate simulation state; it
 // exists for instrumentation (stats.EvEngineDispatch).
 func (e *Engine) SetOnEvent(fn func(at Cycles, kind int)) { e.onEvent = fn }
-
-// SetStrictWait toggles strict waiting: with it on, AdvanceIf always
-// reports false, so coroutines take the schedule-wake/park path and
-// every piece of simulated activity executes inside a dispatched
-// event. The schedule is unchanged (see AdvanceIf); what strict mode
-// buys is that DispatchTag is always meaningful.
-func (e *Engine) SetStrictWait(on bool) { e.strictWait = on }
-
-// DispatchTag returns a serialization key for the current moment of
-// the current dispatch: the heap key of the event being dispatched,
-// this engine's dispatch ordinal, and a per-dispatch draw counter.
-// Keys are unique across all engines of a sharded run (each lane's
-// counter lives on exactly one engine), but sorting tagged work by
-// key does NOT reconstruct single-queue execution order: an event
-// scheduled during a dispatch can land in the same cycle under a
-// smaller key (a zero-delay wake on the receiver's lane, say, after a
-// delivery keyed under the sender's lane), and a serial engine pops it
-// after the dispatch that created it, not before. Execution order
-// within one engine is the ordinal (EngineLess); across engines it is
-// the head merge MergeByTag performs. Callers must run under strict
-// waiting; otherwise activity that advanced the clock via AdvanceIf
-// would be tagged with a stale event.
-func (e *Engine) DispatchTag() DispatchTag {
-	t := DispatchTag{At: e.tagAt, Lane: e.tagLane, Seq: e.tagSeq, Ctr: e.tagCtr, Ord: e.tagOrd}
-	e.tagCtr++
-	return t
-}
-
-// DispatchTagN reserves n consecutive tags and returns the first;
-// slot i is the returned tag with Ctr+i. Work deferred to a barrier
-// (per-hop link events) reserves its tag slots at the moment the
-// serial schedule would have produced them, so the merged stream
-// interleaves exactly like the serial one.
-func (e *Engine) DispatchTagN(n int) DispatchTag {
-	t := DispatchTag{At: e.tagAt, Lane: e.tagLane, Seq: e.tagSeq, Ctr: e.tagCtr, Ord: e.tagOrd}
-	e.tagCtr += uint64(n)
-	return t
-}
-
-// Plus returns the tag i draw slots after t (same dispatch).
-func (t DispatchTag) Plus(i int) DispatchTag {
-	t.Ctr += uint64(i)
-	return t
-}
-
-// DispatchTag orders logged work by the dispatch that produced it:
-// the dispatched event's heap key (At, Lane, Seq), the engine's
-// dispatch ordinal Ord, and the intra-dispatch draw counter Ctr.
-type DispatchTag struct {
-	At   Cycles
-	Lane int32
-	Seq  uint64
-	Ctr  uint64
-	// Ord is the per-engine dispatch ordinal: the nth event this engine
-	// dispatched. Comparable only between tags drawn on one engine.
-	Ord uint64
-}
-
-// Less compares the dispatch keys (At, Lane, Seq, Ctr) — the order in
-// which the dispatching events sat in their heaps, NOT the order a
-// serial engine executes them in (see DispatchTag). MergeByTag uses it
-// to compare queue heads across engines.
-func (t DispatchTag) Less(u DispatchTag) bool {
-	if t.At != u.At {
-		return t.At < u.At
-	}
-	if t.Lane != u.Lane {
-		return t.Lane < u.Lane
-	}
-	if t.Seq != u.Seq {
-		return t.Seq < u.Seq
-	}
-	return t.Ctr < u.Ctr
-}
-
-// EngineLess orders two tags drawn on the SAME engine by execution
-// order: dispatch ordinal, then draw counter within the dispatch. Use
-// it to re-insert barrier-replayed work (which carries mid-round tags)
-// among work logged in call order; it is meaningless across engines.
-func (t DispatchTag) EngineLess(u DispatchTag) bool {
-	if t.Ord != u.Ord {
-		return t.Ord < u.Ord
-	}
-	return t.Ctr < u.Ctr
-}
 
 // Schedule runs fn after delay cycles of virtual time.
 func (e *Engine) Schedule(delay Cycles, fn func()) {
@@ -364,7 +260,7 @@ func (e *Engine) siftDown(i int) {
 // identical to the slow path, so determinism is unaffected.
 func (e *Engine) AdvanceIf(d Cycles) bool {
 	t := e.now + d
-	if e.strictWait || t > e.horizon || (len(e.pq) > 0 && e.pq[0].at <= t) {
+	if t > e.horizon || (len(e.pq) > 0 && e.pq[0].at <= t) {
 		return false
 	}
 	e.now = t
@@ -389,8 +285,6 @@ func (e *Engine) Step() bool {
 	e.now = ev.at
 	e.lastAct = ev.at
 	e.curLane = ev.lane
-	e.tagAt, e.tagLane, e.tagSeq, e.tagCtr = ev.at, ev.lane, ev.seq, 0
-	e.tagOrd++
 	e.processed++
 	if e.onEvent != nil {
 		e.onEvent(ev.at, ev.kind)

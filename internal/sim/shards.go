@@ -24,12 +24,6 @@ type ShardSet struct {
 	// the latency of any cross-shard message (for the PLUS mesh,
 	// Base + PerHop). Must be >= 1.
 	Window Cycles
-	// BarrierWork, when non-nil, runs at each barrier with all shards
-	// quiescent, BEFORE Drain — so cross-shard messages it sends are
-	// delivered in the same barrier, never a round late. This is where
-	// work deferred from mid-round (contention replay, observer merge,
-	// kernel copy-list splices) executes against shared state.
-	BarrierWork func()
 	// Drain delivers all cross-shard messages sent during the finished
 	// round into the destination shards' queues (InjectEventAt) and
 	// returns how many it moved. It runs on the coordinating goroutine
@@ -72,11 +66,7 @@ func (s *ShardSet) Run() {
 		// Drain before picking T, not after the workers finish: mail can
 		// exist before the first round (setup code sending cross-shard
 		// messages), and the final round's mail must land before the
-		// emptiness check decides the run is over. BarrierWork comes
-		// first so mail it produces drains this barrier too.
-		if s.BarrierWork != nil {
-			s.BarrierWork()
-		}
+		// emptiness check decides the run is over.
 		if s.Drain != nil {
 			s.Drain()
 		}

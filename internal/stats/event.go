@@ -283,8 +283,8 @@ type TraceMeta struct {
 
 // Observer is one machine's structured-event collector: the ring, the
 // latency histograms, and the time-series samples. Create one with
-// NewObserver, pass it to the machine via core.Config.Observe (or let
-// core.Machine.EnableTrace build one), and read it after Run.
+// NewObserver, pass it to the machine via core.Config.Observe, and
+// read it after Run.
 //
 // An Observer serves exactly one machine: core.NewMachine binds it to
 // the machine's clock and topology, and binding twice panics — sharing
@@ -306,21 +306,7 @@ type Observer struct {
 	// comparison instead of a zero test plus a comparison.
 	winEnd sim.Cycles
 
-	// Sharding (shardobs.go). A master observer owns the ring; each
-	// shard gets a child (parent != nil) that either forwards straight
-	// to the master ring (direct mode, quiescent periods) or logs
-	// tagged events privately (buffered mode, shard workers running)
-	// for a deterministic tag-ordered merge at lookahead barriers.
-	parent   *Observer
-	children []*Observer
-	tagf     func() sim.DispatchTag
-	buffered bool
-	tbuf     []taggedEvent
-	// shardQs is MergeShardEvents' per-barrier merge scratch (one
-	// queue header per child, reused across barriers).
-	shardQs [][]taggedEvent
-	// causeBy holds CauseFor's per-node counters (master or child —
-	// each node's issues all happen on the observer serving its shard).
+	// causeBy holds CauseFor's per-node counters.
 	causeBy []uint64
 }
 
@@ -359,55 +345,21 @@ func (o *Observer) EmitAt(at sim.Cycles, kind EventKind, node int, sub uint8, ca
 	if at < o.cfg.WindowStart || at > o.winEnd {
 		return
 	}
-	e := Event{At: at, Cause: cause, A: a, B: b, Kind: kind, Sub: sub, Node: int16(node)}
-	if o.parent == nil {
-		o.ring.Push(e)
-		return
-	}
-	if o.buffered {
-		o.tbuf = append(o.tbuf, taggedEvent{tag: o.tagf(), ev: e})
-		return
-	}
-	o.parent.ring.Push(e)
+	o.ring.Push(Event{At: at, Cause: cause, A: a, B: b, Kind: kind, Sub: sub, Node: int16(node)})
 }
 
-// EmitAtTag records an event whose serialization tag was reserved
-// earlier in the schedule (work deferred to a lookahead barrier, like
-// per-hop link reservations under sharded contention): a buffered
-// child files it under the reserved tag so the merge interleaves it
-// exactly where the serial schedule emitted it; in every other mode
-// the tag is irrelevant and this is EmitAt.
-func (o *Observer) EmitAtTag(tag sim.DispatchTag, at sim.Cycles, kind EventKind, node int, sub uint8, cause, a, b uint64) {
-	if o.parent != nil && o.buffered {
-		if at < o.cfg.WindowStart || at > o.winEnd {
-			return
-		}
-		o.tbuf = append(o.tbuf, taggedEvent{tag: tag,
-			ev: Event{At: at, Cause: cause, A: a, B: b, Kind: kind, Sub: sub, Node: int16(node)}})
-		return
-	}
-	o.EmitAt(at, kind, node, sub, cause, a, b)
-}
-
-// NextCause returns a fresh nonzero causal ID. Causal IDs are
-// machine-wide and strictly increasing in issue order — which only a
-// single serial collector can hand out; shard children must use the
-// per-node CauseFor.
+// NextCause returns a fresh nonzero causal ID, machine-wide and
+// strictly increasing in issue order.
 func (o *Observer) NextCause() uint64 {
-	if o.parent != nil {
-		panic("stats: NextCause on a shard child (machine-wide IDs need one counter; use CauseFor)")
-	}
 	o.cause++
 	return o.cause
 }
 
 // CauseFor returns a fresh nonzero causal ID for an operation issued
 // by the given node. Unlike NextCause the counters are per-node, so a
-// node's k-th issue gets the same ID in serial and sharded runs: all
-// of one node's issues pass through the observer serving its shard in
-// the node's own program order, whatever the shard count. IDs pack
-// node+1 above a 40-bit per-node counter — never zero, never colliding
-// across nodes.
+// node's k-th issue gets the same ID however other nodes' issues
+// interleave with it. IDs pack node+1 above a 40-bit per-node counter
+// — never zero, never colliding across nodes.
 func (o *Observer) CauseFor(node int) uint64 {
 	for node >= len(o.causeBy) {
 		o.causeBy = append(o.causeBy, 0)

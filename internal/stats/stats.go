@@ -109,9 +109,8 @@ func (m *Machine) Observer() *Observer { return m.obs }
 // by their owning node (node-disjoint across shards, so sharing the
 // backing slice is race-free), while the machine-wide message tallies
 // are written by every CM and therefore accumulate per shard, to be
-// folded into the master with FoldShard after the run. When tracing
-// is on, core attaches the shard's child observer (ShardChild) to the
-// view, so the shard's components emit shard-locally.
+// folded into the master with FoldShard after the run. Views carry
+// no observer: tracing is serial-only.
 func (m *Machine) ShardView() *Machine { return &Machine{Nodes: m.Nodes} }
 
 // FoldShard drains a shard view's machine-wide scalar counters into m:
@@ -145,8 +144,7 @@ func (m *Machine) FoldShard(v *Machine) {
 	m.StaleAcks += v.StaleAcks
 	m.CrashOrphans += v.CrashOrphans
 	m.Recovery.Add(&v.Recovery)
-	nodes, obs := v.Nodes, v.obs
-	*v = Machine{Nodes: nodes, obs: obs}
+	*v = Machine{Nodes: v.Nodes}
 }
 
 // Reliability groups the unreliable-network sublayer counters for

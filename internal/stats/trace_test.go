@@ -7,39 +7,45 @@ import (
 	"plus/internal/sim"
 )
 
-// The ring keeps the NEWEST events: pushing past capacity overwrites
-// the oldest, and Overwritten counts the loss.
+// boundObserver returns an observer with a limit-event ring bound
+// standalone (no topology) to clock.
+func boundObserver(limit int, clock func() sim.Cycles) *Observer {
+	o := NewObserver(ObserveConfig{Events: limit})
+	o.Bind(clock, TraceMeta{})
+	return o
+}
+
+// The trace ring keeps the NEWEST events: pushing past capacity
+// overwrites the oldest, and Overwritten counts the loss.
 func TestTracerKeepsNewest(t *testing.T) {
 	var now sim.Cycles
-	tr := NewTracer(4, func() sim.Cycles { return now })
+	o := boundObserver(4, func() sim.Cycles { return now })
 	for i := 0; i < 6; i++ {
 		now = sim.Cycles(i)
-		tr.Observer().Emit(EvWriteIssue, 1, 0, uint64(i+1), uint64(i), 0)
+		o.Emit(EvWriteIssue, 1, 0, uint64(i+1), uint64(i), 0)
 	}
-	evs := tr.Events()
+	evs := o.Events()
 	if len(evs) != 4 {
 		t.Fatalf("events = %d, want 4 (ring capacity)", len(evs))
 	}
 	if evs[0].At != 2 || evs[3].At != 5 {
 		t.Fatalf("window = [%d, %d], want [2, 5] (newest kept)", evs[0].At, evs[3].At)
 	}
-	if tr.Overwritten() != 2 {
-		t.Fatalf("overwritten = %d, want 2", tr.Overwritten())
+	if o.Overwritten() != 2 {
+		t.Fatalf("overwritten = %d, want 2", o.Overwritten())
 	}
-	if !strings.Contains(tr.Dump(), "2 earlier event(s) overwritten") {
-		t.Fatalf("dump missing overwrite note:\n%s", tr.Dump())
+	if !strings.Contains(o.Dump(), "2 earlier event(s) overwritten") {
+		t.Fatalf("dump missing overwrite note:\n%s", o.Dump())
 	}
 }
 
-// limit <= 0 is the documented default, not a silent fallback.
+// A ring size <= 0 is the documented default, not a silent fallback.
 func TestTracerDefaultLimit(t *testing.T) {
-	tr := NewTracer(0, func() sim.Cycles { return 0 })
-	if got := tr.Observer().RingCap(); got != DefaultRingEvents {
+	if got := NewObserver(ObserveConfig{}).RingCap(); got != DefaultRingEvents {
 		t.Fatalf("default ring capacity = %d, want %d", got, DefaultRingEvents)
 	}
 	// Non-power-of-two limits round up.
-	tr = NewTracer(100, func() sim.Cycles { return 0 })
-	if got := tr.Observer().RingCap(); got != 128 {
+	if got := NewObserver(ObserveConfig{Events: 100}).RingCap(); got != 128 {
 		t.Fatalf("ring capacity for limit 100 = %d, want 128", got)
 	}
 }
@@ -49,14 +55,14 @@ func TestMachineObserverNilByDefault(t *testing.T) {
 	if m.Observer() != nil {
 		t.Fatal("fresh machine should have no observer")
 	}
-	tr := NewTracer(10, func() sim.Cycles { return 7 })
-	m.AttachObserver(tr.Observer())
-	if m.Observer() != tr.Observer() {
+	o := boundObserver(10, func() sim.Cycles { return 7 })
+	m.AttachObserver(o)
+	if m.Observer() != o {
 		t.Fatal("observer attach/accessor broken")
 	}
 	m.Observer().Emit(EvUpdate, 1, 0, 3, 9, 1)
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].At != 7 || evs[0].Node != 1 || evs[0].Kind != "update" {
+	evs := o.Events()
+	if len(evs) != 1 || evs[0].At != 7 || evs[0].Node != 1 || evs[0].Kind != EvUpdate {
 		t.Fatalf("events = %+v", evs)
 	}
 }

@@ -165,11 +165,13 @@ func TestKernelMigrationThroughPublicAPI(t *testing.T) {
 }
 
 func TestTraceEndToEnd(t *testing.T) {
-	m, err := plus.New(plus.DefaultConfig(2, 1))
+	cfg := plus.DefaultConfig(2, 1)
+	tr := plus.NewObserver(plus.ObserveConfig{Events: 128})
+	cfg.Observe = tr
+	m, err := plus.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := m.EnableTrace(128)
 	data := m.Alloc(1, 1)
 	m.Spawn(0, func(th *plus.Thread) {
 		th.Write(data, 1)
@@ -181,7 +183,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 	kinds := map[string]bool{}
 	for _, e := range tr.Events() {
-		kinds[e.Kind] = true
+		kinds[e.Kind.String()] = true
 	}
 	for _, want := range []string{"write", "fence", "rmw", "ack"} {
 		if !kinds[want] {
