@@ -2,17 +2,18 @@
 
 GO ?= go
 
-.PHONY: all check build test race bench bench-json trace-smoke race-smoke scale scale-smoke kvserve-smoke vet fmt lint experiments experiments-quick golden examples clean
+.PHONY: all check build test race test-log bench quick-smoke trace-smoke race-smoke vet fmt lint experiments experiments-quick golden examples clean
 
 all: check
 
 # The default gate: everything a PR must keep green. The shard
 # equivalence and serial-only rejection tests ride in test/race,
-# bench-json's -exp all includes the scale experiment's quick leg
-# (which fails loudly if any sharded run diverges from its serial
-# twin), scale-smoke reruns that sweep at 4 shards, and race-smoke
-# runs the happens-before detection corpus end to end.
-check: build test race lint bench-json trace-smoke race-smoke scale-smoke kvserve-smoke
+# quick-smoke regenerates every experiment at quick size (each sweep
+# self-validates, e.g. kvserve's op counters), trace-smoke exercises
+# the instrumented path, and race-smoke runs the happens-before
+# detection corpus end to end. Nothing here writes into the repo;
+# wall-clock measurement is perfbench's job (BENCHMARK.json).
+check: build test race lint quick-smoke trace-smoke race-smoke
 
 build:
 	$(GO) build ./...
@@ -31,27 +32,10 @@ test-log:
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
-# Quick sweeps through the parallel runner with self-timing: writes
-# BENCH_<date>.json (per-experiment wall-clock, point count, workers,
-# shard count) so the worker-pool speedup stays visible and trackable
-# over time. Serial and untraced: the baseline leg every perf record
-# compares against.
-bench-json:
-	$(GO) run ./cmd/plusbench -quick -exp all \
-		-timing BENCH_$$(date +%Y-%m-%d).json >/dev/null
-
-# Sharded scale smoke: the figure2-1-scale quick sweep at 4 shards.
-# The sweep's equivalence check exits nonzero if the sharded row's
-# cycles, messages or relaxations diverge from the serial row's.
-scale-smoke:
-	$(GO) run ./cmd/plusbench -quick -exp figure2-1-scale -shards 4 >/dev/null
-
-# Full sharded-engine scale sweep: Figure 2-1's workload at 8x8,
-# 16x16 and 32x32 over shard counts 1..16, points run sequentially so
-# wall-clock speedup is honest. Exits nonzero if any sharded row's
-# elapsed cycles, messages or relaxations diverge from the serial row.
-scale:
-	$(GO) run ./cmd/plusbench -exp figure2-1-scale
+# Every registered experiment at quick size through the parallel
+# runner. Exits nonzero if any point fails its self-validation.
+quick-smoke:
+	$(GO) run ./cmd/plusbench -quick -exp all >/dev/null
 
 # Quick instrumented run: exercises the structured-event layer end to
 # end (plusbench validates the Chrome trace JSON round-trips through
@@ -68,15 +52,6 @@ trace-smoke:
 # a clean one is misflagged — either is a detector regression.
 race-smoke:
 	$(GO) run ./cmd/plusbench -races >/dev/null
-
-# Serving-workload smoke: the open-loop Zipfian record-store sweep's
-# quick leg (4x4, skews 0 and 1.2, all three placements) with
-# contention on, serially (the contention model is serial-only). Every
-# point self-validates its fetch-and-add op counters against the
-# generators' tallies, so the target exits nonzero if the serving path
-# loses an update.
-kvserve-smoke:
-	$(GO) run ./cmd/plusbench -quick -exp kvserve-sweep >/dev/null
 
 vet:
 	$(GO) vet ./...

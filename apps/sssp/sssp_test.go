@@ -1,8 +1,12 @@
 package sssp
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"plus/internal/core"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -151,5 +155,51 @@ func TestReplicationImprovesRuntime(t *testing.T) {
 	}
 	if r4.Elapsed >= r1.Elapsed {
 		t.Fatalf("replication did not help: %d >= %d cycles", r4.Elapsed, r1.Elapsed)
+	}
+}
+
+// TestSSSPShardEquivalence pins the sharded engine on the Figure 2-1
+// workload (replicated SSSP, copies 4): every shard count must
+// reproduce the serial run's whole Result (elapsed cycles, counter
+// blocks, relaxations and distances), not just a few fields. The 32x32
+// (1024-processor) case takes seconds per run and is skipped under
+// -short.
+func TestSSSPShardEquivalence(t *testing.T) {
+	run := func(w, h, vertices, shards int) Result {
+		mc := core.DefaultConfig(w, h)
+		mc.Shards = shards
+		res, err := Run(Config{
+			MeshW: w, MeshH: h, Procs: w * h,
+			Vertices: vertices, Degree: 4, Seed: 42,
+			Copies: 4, Validate: true,
+			Machine: &mc,
+		})
+		if err != nil {
+			t.Fatalf("%dx%d shards=%d: %v", w, h, shards, err)
+		}
+		res.Report = "" // rendered text of the counters compared below
+		return res
+	}
+	cases := []struct {
+		w, h, vertices int
+		shards         []int
+		long           bool
+	}{
+		{8, 8, 512, []int{2, 4, 8, 16}, false},
+		{32, 32, 2048, []int{8}, true},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%dx%d", c.w, c.h), func(t *testing.T) {
+			if c.long && testing.Short() {
+				t.Skip("seconds per run; run without -short")
+			}
+			serial := run(c.w, c.h, c.vertices, 1)
+			for _, k := range c.shards {
+				if got := run(c.w, c.h, c.vertices, k); !reflect.DeepEqual(got, serial) {
+					t.Errorf("shards=%d diverged from serial: elapsed %d/%d, totals %+v / %+v",
+						k, got.Elapsed, serial.Elapsed, got.Totals, serial.Totals)
+				}
+			}
+		})
 	}
 }

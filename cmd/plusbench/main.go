@@ -5,24 +5,18 @@
 // Usage:
 //
 //	plusbench [-exp all|ablations|<name>[,<name>...]] [-quick] [-json]
-//	          [-parallel N] [-shards K] [-chart] [-max-procs N] [-timing FILE] [-list]
+//	          [-parallel N] [-chart] [-max-procs N] [-list]
 //	          [-trace FILE] [-trace-window A:B] [-trace-events N]
 //	          [-sample N] [-hist]
-//	plusbench -compare OLD.json NEW.json [-threshold F]
 //	plusbench -races [-json] [-trace FILE]
 //
 // Every experiment is a sweep of independent simulation points run on
-// a worker pool of -parallel goroutines (default GOMAXPROCS); stdout
-// is byte-identical for any -parallel value. -shards K additionally
-// runs each supporting point's machine on K shard engines —
-// parallelism inside one simulation rather than across points, with
-// byte-identical results either way. Contended points stay serial,
-// and -shards K > 1 cannot be combined with -trace, -sample or -hist
-// (observers are serial-only). -json replaces the tables with one
-// JSON array of {experiment, title, points, rows} objects. -timing
-// writes a BENCH_<date>.json-style self-timing report
-// (per-experiment wall-clock, point count, workers) so the parallel
-// speedup stays trackable.
+// a worker pool of -parallel goroutines (default GOMAXPROCS), the only
+// parallelism knob; stdout is byte-identical for any -parallel value
+// and from run to run. -json replaces the tables with one JSON array
+// of {experiment, title, points, rows} objects, equally deterministic.
+// plusbench measures no wall-clock time: perfbench (BENCHMARK.json)
+// is the repository's benchmark.
 //
 // -trace instruments every sweep point with the structured-event
 // layer and writes one Chrome trace-event JSON (load it in Perfetto or
@@ -33,9 +27,6 @@
 // prints the merged latency histograms (remote reads, write acks, RMW
 // round trips, per-hop queueing) and a folded stall summary.
 //
-// -compare diffs two -timing reports and exits 1 when any experiment
-// regressed in wall-clock by more than -threshold (default 10%).
-//
 // -races runs the registered race-detection corpus (experiments.
 // RacePrograms) with the data-access event layer on and prints each
 // program's happens-before report in name order — deterministic run
@@ -45,122 +36,145 @@
 // Exit status is non-zero iff any program misses its declared verdict
 // (a racy program undetected, or a clean one misflagged).
 //
+// A negative count flag (-max-procs, -parallel, -sample,
+// -trace-events) is a usage error: plusbench prints the usage and
+// exits 2.
+//
 // Results print to stdout; EXPERIMENTS.md records a reference run.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"plus/experiments"
 	"plus/internal/sim"
 	"plus/internal/stats"
 )
 
+// cliArgs holds plusbench's parsed command line.
+type cliArgs struct {
+	exp                         string
+	quick, jsonOut, chart, list bool
+	maxProcs, parallel          int
+	traceOut, traceWindow       string
+	traceEvents, sample         int
+	hist, races                 bool
+}
+
+// parseArgs parses the command line. On a parse error or a negative
+// count it writes the error and the usage to stderr and returns a
+// non-nil error (flag.ErrHelp for -h).
+func parseArgs(args []string, stderr io.Writer) (cliArgs, error) {
+	var a cliArgs
+	fs := flag.NewFlagSet("plusbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&a.exp, "exp", "all", "experiments to run: all, ablations, or comma-separated registry names (see -list)")
+	fs.BoolVar(&a.quick, "quick", false, "shrink problem sizes for a fast run")
+	fs.IntVar(&a.maxProcs, "max-procs", 0, "cap the processor sweep (0 = experiment default)")
+	fs.IntVar(&a.parallel, "parallel", 0, "sweep-point worker pool size (0 = GOMAXPROCS)")
+	fs.BoolVar(&a.jsonOut, "json", false, "emit rows as a JSON array instead of tables")
+	fs.BoolVar(&a.chart, "chart", false, "render the figures as ASCII charts as well")
+	fs.BoolVar(&a.list, "list", false, "list registered experiments and exit")
+	fs.StringVar(&a.traceOut, "trace", "", "instrument every sweep point and write a Chrome trace-event JSON to this file")
+	fs.StringVar(&a.traceWindow, "trace-window", "", "record only events in cycles A:B (empty = whole run)")
+	fs.IntVar(&a.traceEvents, "trace-events", 0, "per-point event ring size (0 = default)")
+	fs.IntVar(&a.sample, "sample", 0, "sample per-link utilization and per-node stalls every N cycles (0 = off)")
+	fs.BoolVar(&a.hist, "hist", false, "print merged latency histograms and a stall summary (implies instrumentation)")
+	fs.BoolVar(&a.races, "races", false, "run the race-detection corpus and print happens-before reports")
+	if err := fs.Parse(args); err != nil {
+		return a, err
+	}
+	if err := checkCounts(a); err != nil {
+		fmt.Fprintf(stderr, "plusbench: %v\n", err)
+		fs.Usage()
+		return a, err
+	}
+	return a, nil
+}
+
+// checkCounts rejects negative count flags. Zero already means
+// "default" or "off" for each, and a negative -sample would otherwise
+// wrap to a 2^64-1 cycle interval.
+func checkCounts(a cliArgs) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"max-procs", a.maxProcs}, {"parallel", a.parallel}, {"sample", a.sample}, {"trace-events", a.traceEvents}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s must be >= 0, got %d", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiments to run: all, ablations, or comma-separated registry names (see -list)")
-	quick := flag.Bool("quick", false, "shrink problem sizes for a fast run")
-	maxProcs := flag.Int("max-procs", 0, "cap the processor sweep (0 = experiment default)")
-	parallel := flag.Int("parallel", 0, "sweep-point worker pool size (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "shard engines per machine where supported (0/1 = serial; orthogonal to -parallel)")
-	jsonOut := flag.Bool("json", false, "emit rows as a JSON array instead of tables")
-	chart := flag.Bool("chart", false, "render the figures as ASCII charts as well")
-	timing := flag.String("timing", "", "write a JSON self-timing report to this file")
-	list := flag.Bool("list", false, "list registered experiments and exit")
-	traceOut := flag.String("trace", "", "instrument every sweep point and write a Chrome trace-event JSON to this file")
-	traceWindow := flag.String("trace-window", "", "record only events in cycles A:B (empty = whole run)")
-	traceEvents := flag.Int("trace-events", 0, "per-point event ring size (0 = default)")
-	sample := flag.Int("sample", 0, "sample per-link utilization and per-node stalls every N cycles (0 = off)")
-	hist := flag.Bool("hist", false, "print merged latency histograms and a stall summary (implies instrumentation)")
-	compare := flag.Bool("compare", false, "compare two -timing reports: plusbench -compare OLD.json NEW.json")
-	threshold := flag.Float64("threshold", 0.10, "wall-clock regression threshold for -compare (fraction)")
-	races := flag.Bool("races", false, "run the race-detection corpus and print happens-before reports")
-	flag.Parse()
+	a, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
 
-	if *compare {
-		runCompare(flag.Args(), *threshold)
+	if a.races {
+		runRaces(a.jsonOut, a.traceOut)
 		return
 	}
 
-	if *races {
-		runRaces(*jsonOut, *traceOut)
-		return
-	}
-
-	if *list {
+	if a.list {
 		for _, e := range experiments.Registered() {
 			fmt.Printf("%-24s %s\n", e.Name, e.Title)
 		}
 		return
 	}
 
-	if *shards > 1 && (*traceOut != "" || *sample > 0 || *hist) {
-		fmt.Fprintln(os.Stderr, "plusbench: -shards K > 1 cannot be combined with -trace, -sample or -hist (observers are serial-only); drop -shards or the instrumentation")
-		os.Exit(2)
-	}
-	sel, err := experiments.Select(*exp)
+	sel, err := experiments.Select(a.exp)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "plusbench: %v\n", err)
 		os.Exit(2)
 	}
-	opts := experiments.Options{Quick: *quick, MaxProcs: *maxProcs, Workers: *parallel, Shards: *shards}
-	if *traceOut != "" || *hist {
+	opts := experiments.Options{Quick: a.quick, MaxProcs: a.maxProcs, Workers: a.parallel}
+	if a.traceOut != "" || a.hist {
 		ocfg := stats.ObserveConfig{
-			Events:      *traceEvents,
-			SampleEvery: sim.Cycles(*sample),
+			Events:      a.traceEvents,
+			SampleEvery: sim.Cycles(a.sample),
 		}
-		if *traceWindow != "" {
-			a, b, err := parseWindow(*traceWindow)
+		if a.traceWindow != "" {
+			lo, hi, err := parseWindow(a.traceWindow)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "plusbench: -trace-window: %v\n", err)
 				os.Exit(2)
 			}
-			ocfg.WindowStart, ocfg.WindowEnd = a, b
+			ocfg.WindowStart, ocfg.WindowEnd = lo, hi
 		}
 		opts.Observe = experiments.NewObservation(ocfg)
 	}
-	report := experiments.Report{
-		Date:       time.Now().Format("2006-01-02"),
-		Quick:      *quick,
-		Workers:    opts.WorkerCount(),
-		Shards:     opts.EffectiveShards(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
 
 	var results []*experiments.Result
-	start := time.Now()
 	for _, e := range sel {
-		t0 := time.Now()
 		res, err := e.Run(opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "plusbench: %v\n", err)
 			os.Exit(1)
 		}
-		report.Experiments = append(report.Experiments, experiments.Timing{
-			Experiment: e.Name,
-			Points:     res.Points,
-			Workers:    report.Workers,
-			WallMS:     float64(time.Since(t0).Microseconds()) / 1e3,
-		})
-		if *jsonOut {
+		if a.jsonOut {
 			results = append(results, res)
 			continue
 		}
 		fmt.Println(res.Table)
-		if *chart && res.Chart != "" {
+		if a.chart && res.Chart != "" {
 			fmt.Println(res.Chart)
 		}
 	}
-	report.TotalWallMS = float64(time.Since(start).Microseconds()) / 1e3
 
-	if *jsonOut {
+	if a.jsonOut {
 		enc, err := json.MarshalIndent(results, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "plusbench: marshal: %v\n", err)
@@ -169,20 +183,7 @@ func main() {
 		fmt.Println(string(enc))
 	}
 	if opts.Observe != nil {
-		writeObservation(opts.Observe, *traceOut, *hist)
-	}
-	if *timing != "" {
-		enc, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "plusbench: marshal timing: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*timing, append(enc, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "plusbench: write timing: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "plusbench: %d experiment(s), %d worker(s), %.0f ms total -> %s\n",
-			len(report.Experiments), report.Workers, report.TotalWallMS, *timing)
+		writeObservation(opts.Observe, a.traceOut, a.hist)
 	}
 }
 
@@ -266,34 +267,6 @@ func runRaces(jsonOut bool, traceOut string) {
 	}
 	if !ok {
 		fmt.Fprintln(os.Stderr, "plusbench: race corpus verdict mismatch")
-		os.Exit(1)
-	}
-}
-
-// runCompare implements -compare OLD.json NEW.json.
-func runCompare(args []string, threshold float64) {
-	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "plusbench: -compare needs exactly two report files: OLD.json NEW.json")
-		os.Exit(2)
-	}
-	oldJSON, err := os.ReadFile(args[0])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "plusbench: %v\n", err)
-		os.Exit(2)
-	}
-	newJSON, err := os.ReadFile(args[1])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "plusbench: %v\n", err)
-		os.Exit(2)
-	}
-	diff, regressed, err := experiments.CompareReports(oldJSON, newJSON, threshold)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "plusbench: compare: %v\n", err)
-		os.Exit(2)
-	}
-	fmt.Print(diff)
-	if regressed {
-		fmt.Fprintf(os.Stderr, "plusbench: wall-clock regression over %.0f%% detected\n", threshold*100)
 		os.Exit(1)
 	}
 }

@@ -35,7 +35,6 @@ func fencePoints(o Options) []Point[AblationRow] {
 		name := "ablation fence " + label
 		pts = append(pts, Point[AblationRow]{
 			Name: name,
-			Tags: map[string]string{"config": label},
 			Run: func() (AblationRow, error) {
 				res, err := synth.Run(synth.Config{
 					MeshW: 4, MeshH: 2, Procs: 8, OpsPerProc: ops,
@@ -82,7 +81,6 @@ func invalidatePoints(o Options) []Point[AblationRow] {
 		name := "ablation invalidate " + label
 		pts = append(pts, Point[AblationRow]{
 			Name: name,
-			Tags: map[string]string{"config": label},
 			Run: func() (AblationRow, error) {
 				res, err := synth.Run(synth.Config{
 					MeshW: 4, MeshH: 2, Procs: 8, OpsPerProc: ops,
@@ -139,7 +137,6 @@ func pendingWritesPoints(o Options) []Point[AblationRow] {
 		name := fmt.Sprintf("ablation pending-writes depth=%d", depth)
 		pts = append(pts, Point[AblationRow]{
 			Name: name,
-			Tags: map[string]string{"depth": fmt.Sprint(depth)},
 			Run: func() (AblationRow, error) {
 				m, data, err := burstMachine(func(c *core.Config) {
 					c.Timing.MaxPendingWrites = depth
@@ -192,7 +189,6 @@ func delayedSlotsPoints(o Options) []Point[AblationRow] {
 		name := fmt.Sprintf("ablation delayed-slots depth=%d", depth)
 		pts = append(pts, Point[AblationRow]{
 			Name: name,
-			Tags: map[string]string{"depth": fmt.Sprint(depth)},
 			Run: func() (AblationRow, error) {
 				m, data, err := burstMachine(func(c *core.Config) {
 					c.Timing.MaxDelayedOps = depth
@@ -264,7 +260,6 @@ func contentionPoints(o Options) []Point[AblationRow] {
 		name := "ablation contention " + label
 		pts = append(pts, Point[AblationRow]{
 			Name: name,
-			Tags: map[string]string{"config": label},
 			Run: func() (AblationRow, error) {
 				res, err := synth.Run(synth.Config{
 					MeshW: 4, MeshH: 2, Procs: 8, OpsPerProc: ops,
@@ -309,7 +304,6 @@ func competitivePoints(o Options) []Point[AblationRow] {
 		name := "ablation competitive " + label
 		pts = append(pts, Point[AblationRow]{
 			Name: name,
-			Tags: map[string]string{"config": label},
 			Run: func() (AblationRow, error) {
 				res, err := synth.Run(synth.Config{
 					MeshW: 4, MeshH: 2, Procs: 8, OpsPerProc: ops,

@@ -29,7 +29,6 @@ func batchingPoints(o Options) []Point[AblationRow] {
 		name := fmt.Sprintf("ablation batching depth=%d", depth)
 		pts = append(pts, Point[AblationRow]{
 			Name: name,
-			Tags: map[string]string{"depth": fmt.Sprint(depth)},
 			Run: func() (AblationRow, error) {
 				cfg := core.DefaultConfig(4, 2)
 				cfg.Timing.MaxBatchWrites = depth

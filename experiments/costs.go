@@ -35,7 +35,6 @@ func table31Points(o Options) []Point[Table31Row] {
 		name := fmt.Sprintf("table 3-1 %v", op)
 		pts = append(pts, Point[Table31Row]{
 			Name: name,
-			Tags: map[string]string{"op": op.String()},
 			Run: func() (Table31Row, error) {
 				mcfg := defaultMachine(2, 1)
 				o.Observe.Attach(&mcfg, name)
@@ -116,7 +115,6 @@ func costsPoints(o Options) []Point[CostRow] {
 		name := fmt.Sprintf("costs hops=%d", hops)
 		pts = append(pts, Point[CostRow]{
 			Name: name,
-			Tags: map[string]string{"hops": fmt.Sprint(hops)},
 			Run: func() (CostRow, error) {
 				mcfg := defaultMachine(8, 1)
 				o.Observe.Attach(&mcfg, name)

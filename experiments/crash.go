@@ -122,7 +122,6 @@ func crashPoints(o Options) []Point[CrashRow] {
 		name := fmt.Sprintf("fault-crash crashes=%d", crashes)
 		pts = append(pts, Point[CrashRow]{
 			Name: name,
-			Tags: map[string]string{"crashes": fmt.Sprint(crashes)},
 			Run: func() (CrashRow, error) {
 				return runCrashPoint(crashes, o.Quick, o, name)
 			},

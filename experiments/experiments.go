@@ -15,28 +15,8 @@ import (
 
 	"plus/apps/beam"
 	"plus/apps/sssp"
-	"plus/internal/core"
 	"plus/internal/sim"
 )
-
-// shardedMachine resolves an SSSP point's machine override: the
-// observation's instrumented config when observing, otherwise a
-// default config carrying Options.Shards when the knob is set and
-// tiles the point's mesh. Observed and contended points stay serial
-// (observers and the contention model are serial-only, see
-// internal/core.Config.Shards), as do points whose mesh the count does
-// not tile; results are identical either way.
-func shardedMachine(o Options, name string, w, h int, contention bool) *core.Config {
-	if mc := o.Observe.MachineFor(name, w, h); mc != nil || contention {
-		return mc
-	}
-	if o.Shards > 1 && o.Shards <= w*h && (w*h)%o.Shards == 0 {
-		mc := core.DefaultConfig(w, h)
-		mc.Shards = o.Shards
-		return &mc
-	}
-	return nil
-}
 
 // meshFor returns a near-square mesh holding at least p nodes.
 func meshFor(p int) (w, h int) {
@@ -85,13 +65,12 @@ func table21Points(o Options) []Point[Table21Row] {
 		name := fmt.Sprintf("table 2-1 copies=%d", copies)
 		pts = append(pts, Point[Table21Row]{
 			Name: name,
-			Tags: map[string]string{"copies": fmt.Sprint(copies)},
 			Run: func() (Table21Row, error) {
 				res, err := sssp.Run(sssp.Config{
 					MeshW: 4, MeshH: 4, Procs: 16,
 					Vertices: vertices, Degree: 4, Seed: 42,
 					Copies: copies, Validate: true,
-					Machine: shardedMachine(o, name, 4, 4, false),
+					Machine: o.Observe.MachineFor(name, 4, 4),
 				})
 				if err != nil {
 					return Table21Row{}, err
@@ -188,7 +167,6 @@ func figure21Points(o Options, contention bool) []Point[Fig21Point] {
 			name := fmt.Sprintf("figure 2-1 p=%d copies=%d contention=%v", p, copies, contention)
 			pts = append(pts, Point[Fig21Point]{
 				Name: name,
-				Tags: map[string]string{"procs": fmt.Sprint(p), "copies": fmt.Sprint(copies)},
 				Run: func() (Fig21Point, error) {
 					w, h := meshFor(p)
 					res, err := sssp.Run(sssp.Config{
@@ -196,7 +174,7 @@ func figure21Points(o Options, contention bool) []Point[Fig21Point] {
 						Vertices: vertices, Degree: 4, Seed: 42,
 						Copies: copies, Validate: true,
 						Contention: contention,
-						Machine:    shardedMachine(o, name, w, h, contention),
+						Machine:    o.Observe.MachineFor(name, w, h),
 					})
 					if err != nil {
 						return Fig21Point{}, err
@@ -332,7 +310,6 @@ func figure31Points(o Options) []Point[Fig31Point] {
 			name := fmt.Sprintf("figure 3-1 p=%d %s", p, st.label)
 			pts = append(pts, Point[Fig31Point]{
 				Name: name,
-				Tags: map[string]string{"procs": fmt.Sprint(p), "style": st.label},
 				Run: func() (Fig31Point, error) {
 					w, h := meshFor(p)
 					res, err := beam.Run(beam.Config{

@@ -91,12 +91,6 @@ func faultPoints(o Options) []Point[FaultRow] {
 			meshLabel, mx.f.DropRate, mx.f.DupRate, mx.f.DelayRate)
 		pts = append(pts, Point[FaultRow]{
 			Name: name,
-			Tags: map[string]string{
-				"mesh":       meshLabel,
-				"drop_rate":  fmt.Sprint(mx.f.DropRate),
-				"dup_rate":   fmt.Sprint(mx.f.DupRate),
-				"delay_rate": fmt.Sprint(mx.f.DelayRate),
-			},
 			Run: func() (FaultRow, error) {
 				mcfg := core.DefaultConfig(mx.w, mx.h)
 				if mx.f.Enabled() {

@@ -88,11 +88,7 @@ func kvservePoints(o Options) []Point[KvRow] {
 				name := fmt.Sprintf("kvserve %s s=%g %s", meshLabel, skew, placement)
 				pts = append(pts, Point[KvRow]{
 					Name: name,
-					Tags: map[string]string{
-						"mesh": meshLabel, "skew": fmt.Sprint(skew), "placement": placement,
-					},
 					Run: func() (KvRow, error) {
-						// Contention is serial-only, so -shards never applies.
 						mc := o.Observe.MachineFor(name, mm.w, mm.h)
 						if mc == nil {
 							c := core.DefaultConfig(mm.w, mm.h)

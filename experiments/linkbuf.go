@@ -39,7 +39,6 @@ func linkbufPoints(o Options) []Point[LinkbufRow] {
 		d := d
 		pts = append(pts, Point[LinkbufRow]{
 			Name: fmt.Sprintf("linkbuf flits=%d", d),
-			Tags: map[string]string{"buf_flits": fmt.Sprint(d)},
 			Run: func() (LinkbufRow, error) {
 				mcfg := core.DefaultConfig(8, 8)
 				mcfg.Faults = mesh.FaultConfig{LinkBufFlits: d}

@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -118,49 +117,4 @@ func (ob *Observation) EventDump() string {
 		}
 	}
 	return b.String()
-}
-
-// CompareReports diffs two plusbench self-timing reports (the
-// BENCH_<date>.json shape written by -timing): experiments present in
-// both are compared on wall-clock, and any slower by more than
-// threshold (a fraction; 0.10 = 10%) is flagged as a regression. It
-// returns the rendered comparison and whether any regression was
-// found.
-func CompareReports(oldJSON, newJSON []byte, threshold float64) (string, bool, error) {
-	var oldRep, newRep Report
-	if err := json.Unmarshal(oldJSON, &oldRep); err != nil {
-		return "", false, fmt.Errorf("old report: %w", err)
-	}
-	if err := json.Unmarshal(newJSON, &newRep); err != nil {
-		return "", false, fmt.Errorf("new report: %w", err)
-	}
-	oldBy := make(map[string]Timing, len(oldRep.Experiments))
-	for _, t := range oldRep.Experiments {
-		oldBy[t.Experiment] = t
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-26s %12s %12s %8s\n", "experiment", "old ms", "new ms", "delta")
-	regressed := false
-	for _, nw := range newRep.Experiments {
-		od, ok := oldBy[nw.Experiment]
-		if !ok {
-			fmt.Fprintf(&b, "%-26s %12s %12.1f %8s\n", nw.Experiment, "-", nw.WallMS, "new")
-			continue
-		}
-		delta := 0.0
-		if od.WallMS > 0 {
-			delta = (nw.WallMS - od.WallMS) / od.WallMS
-		}
-		mark := ""
-		if delta > threshold {
-			mark = "  REGRESSION"
-			regressed = true
-		}
-		fmt.Fprintf(&b, "%-26s %12.1f %12.1f %+7.1f%%%s\n",
-			nw.Experiment, od.WallMS, nw.WallMS, delta*100, mark)
-	}
-	if od, nw := oldRep.TotalWallMS, newRep.TotalWallMS; od > 0 {
-		fmt.Fprintf(&b, "%-26s %12.1f %12.1f %+7.1f%%\n", "total", od, nw, (nw-od)/od*100)
-	}
-	return b.String(), regressed, nil
 }

@@ -73,37 +73,6 @@ func TestObservationChromeTraceValidates(t *testing.T) {
 	}
 }
 
-// TestCompareReports exercises the -compare path: a clean diff, a
-// flagged regression, and malformed input.
-func TestCompareReports(t *testing.T) {
-	rep := func(wall map[string]float64) []byte {
-		var r Report
-		for name, ms := range wall {
-			r.Experiments = append(r.Experiments, Timing{Experiment: name, WallMS: ms})
-			r.TotalWallMS += ms
-		}
-		b, err := json.Marshal(&r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	oldRep := rep(map[string]float64{"figure2-1": 100})
-	if _, regressed, err := CompareReports(oldRep, rep(map[string]float64{"figure2-1": 105}), 0.10); err != nil || regressed {
-		t.Fatalf("5%% slower flagged as regression (err %v)", err)
-	}
-	diff, regressed, err := CompareReports(oldRep, rep(map[string]float64{"figure2-1": 125}), 0.10)
-	if err != nil || !regressed {
-		t.Fatalf("25%% slower not flagged (err %v):\n%s", err, diff)
-	}
-	if !strings.Contains(diff, "REGRESSION") {
-		t.Fatalf("diff missing REGRESSION marker:\n%s", diff)
-	}
-	if _, _, err := CompareReports([]byte("not json"), oldRep, 0.10); err == nil {
-		t.Fatal("malformed old report not rejected")
-	}
-}
-
 // TestFaultRowsCarryReliability checks the reliability-sublayer
 // counters ride along in the fault sweep's JSON rows (satellite of the
 // observability PR: plusbench -json exposes the full counter block).

@@ -8,18 +8,13 @@ import (
 // Result is the uniform outcome of one registered experiment: the
 // typed rows (marshaled verbatim by `plusbench -json`), the rendered
 // table, the optional ASCII chart, and the number of sweep points the
-// runner executed. Everything in it is deterministic — wall-clock
-// timing lives in the separate self-timing Report.
+// runner executed. Everything in it is deterministic, so two runs of
+// the same selection marshal byte-identically; wall-clock measurement
+// lives in perfbench.
 type Result struct {
 	Name   string `json:"experiment"`
 	Title  string `json:"title"`
 	Points int    `json:"points"`
-	// Shards is the effective shard count the sweep's points ran with
-	// (1 = serial engines), so archived JSON rows record which engine
-	// mode produced them. Points whose mesh the count does not tile,
-	// or that contend or observe, stay serial individually; the scale
-	// experiment sweeps shard counts per-row (see ScaleRow.Shards).
-	Shards int    `json:"shards"`
 	Rows   any    `json:"rows"`
 	Table  string `json:"-"`
 	Chart  string `json:"-"`
@@ -56,7 +51,7 @@ func newExperiment[T any](name, title string,
 				rows = post(rows)
 			}
 			res := &Result{Name: name, Title: title, Points: len(pts),
-				Shards: o.EffectiveShards(), Rows: rows, Table: format(rows)}
+				Rows: rows, Table: format(rows)}
 			if chart != nil {
 				res.Chart = chart(rows)
 			}
@@ -95,7 +90,6 @@ var registry = []Experiment{
 		faultPoints, fillFaultSlowdown, FormatFaultSweep, nil),
 	newExperiment("fault-crash", "Fault-crash sweep: node crashes with replicated-master failover",
 		crashPoints, fillCrashSlowdown, FormatFaultCrash, nil),
-	scaleExperiment(),
 	newExperiment("ext-linkbuf", "Extension: link-buffer depth vs backpressure (8x8, contention)",
 		linkbufPoints, fillLinkbufSlowdown, FormatLinkbuf, nil),
 	newExperiment("kvserve-sweep", "Serving workload: Zipfian record store tail latency (skew x mesh x placement)",
@@ -122,8 +116,7 @@ func placementExperiment(name, title string) Experiment {
 				return nil, fmt.Errorf("%s: %w", name, err)
 			}
 			return &Result{Name: name, Title: title, Points: 1,
-				Shards: o.EffectiveShards(), Rows: rows,
-				Table: FormatAblation(title, rows)}, nil
+				Rows: rows, Table: FormatAblation(title, rows)}, nil
 		},
 	}
 }
@@ -182,29 +175,4 @@ func Select(spec string) ([]Experiment, error) {
 		return nil, fmt.Errorf("empty experiment selection %q", spec)
 	}
 	return out, nil
-}
-
-// Timing is one experiment's wall-clock sample in the self-timing
-// report plusbench writes with -timing.
-type Timing struct {
-	Experiment string  `json:"experiment"`
-	Points     int     `json:"points"`
-	Workers    int     `json:"workers"`
-	WallMS     float64 `json:"wall_ms"`
-}
-
-// Report is the BENCH_<date>.json self-timing report: per-experiment
-// wall-clock, point counts and pool size, so the ~#cores speedup of
-// the parallel runner stays visible and trackable over time.
-type Report struct {
-	Date  string `json:"date"`
-	Quick bool   `json:"quick"`
-	// Workers is the sweep-point pool size; Shards the per-machine
-	// engine count the run was invoked with (1 = serial points).
-	Workers     int      `json:"workers"`
-	Shards      int      `json:"shards"`
-	GoMaxProcs  int      `json:"gomaxprocs"`
-	NumCPU      int      `json:"num_cpu"`
-	Experiments []Timing `json:"experiments"`
-	TotalWallMS float64  `json:"total_wall_ms"`
 }

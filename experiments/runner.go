@@ -8,7 +8,10 @@ import (
 )
 
 // Options are the uniform knobs every experiment understands. The zero
-// value is a full-size serial-defaulted run.
+// value is a full-size, uninstrumented run on a GOMAXPROCS-sized
+// worker pool. Workers is the only parallelism knob: it runs
+// independent points concurrently, and every point's machine runs on
+// one serial engine.
 type Options struct {
 	// Quick shrinks problem sizes for fast test runs.
 	Quick bool
@@ -21,48 +24,18 @@ type Options struct {
 	// DropRates overrides the fault sweep's loss rates (fault sweep
 	// only; nil = its default 0, 0.001, 0.01, 0.05).
 	DropRates []float64
-	// Shards runs each point's machine on that many shard engines where
-	// the workload supports it: the SSSP sweeps' uncontended,
-	// unobserved points (contention and observers are serial-only), and
-	// the scale experiment, which then sweeps {1, Shards} instead of
-	// its default shard list. Results are byte-identical to serial
-	// runs; the knob trades wall-clock time inside one point,
-	// orthogonally to Workers, which runs independent points
-	// concurrently. 0 or 1 = serial points; points whose mesh the count
-	// does not tile, or that contend or observe, stay serial
-	// individually.
-	Shards int
 	// Observe, when non-nil, instruments every sweep point with a
 	// structured-event observer (one per point; see observe.go). Nil
 	// keeps all simulation hot paths allocation-free.
 	Observe *Observation
 }
 
-// WorkerCount resolves Workers to the pool size actually used.
-func (o Options) WorkerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// EffectiveShards resolves Shards to the per-point engine count
-// recorded in every Result (1 = serial).
-func (o Options) EffectiveShards() int {
-	if o.Shards > 1 {
-		return o.Shards
-	}
-	return 1
-}
-
 // Point is one independent simulation of a sweep: a name for error
-// reporting, optional tags describing the configuration, and a closure
-// that builds a fresh machine (its own sim.Engine), runs it, and
-// returns one result. Run must not share mutable state with any other
+// reporting and a closure that builds a fresh machine (its own
+// sim.Engine), runs it, and returns one result. Run must not share mutable state with any other
 // point — RunPoints executes points concurrently.
 type Point[T any] struct {
 	Name string
-	Tags map[string]string
 	Run  func() (T, error)
 }
 

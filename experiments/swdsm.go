@@ -103,12 +103,10 @@ func swdsmPoints(o Options) []Point[AblationRow] {
 	return []Point[AblationRow]{
 		{
 			Name: "ext swdsm PLUS",
-			Tags: map[string]string{"system": "plus"},
 			Run:  func() (AblationRow, error) { return swdsmPlusRow(iters, o.Observe, "ext swdsm PLUS") },
 		},
 		{
 			Name: "ext swdsm software SVM",
-			Tags: map[string]string{"system": "svm"},
 			Run:  func() (AblationRow, error) { return swdsmSVMRow(iters) },
 		},
 	}
