@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race test-log bench quick-smoke trace-smoke race-smoke vet fmt lint experiments experiments-quick golden examples clean
+.PHONY: all check build test race test-log bench bench-smoke quick-smoke trace-smoke race-smoke vet fmt lint experiments experiments-quick golden examples clean
 
 all: check
 
@@ -10,10 +10,11 @@ all: check
 # equivalence and serial-only rejection tests ride in test/race,
 # quick-smoke regenerates every experiment at quick size (each sweep
 # self-validates, e.g. kvserve's op counters), trace-smoke exercises
-# the instrumented path, and race-smoke runs the happens-before
-# detection corpus end to end. Nothing here writes into the repo;
+# the instrumented path, race-smoke runs the happens-before
+# detection corpus end to end, and bench-smoke runs every benchmark
+# under internal/ once. Nothing here writes into the repo;
 # wall-clock measurement is perfbench's job (BENCHMARK.json).
-check: build test race lint quick-smoke trace-smoke race-smoke
+check: build test race lint bench-smoke quick-smoke trace-smoke race-smoke
 
 build:
 	$(GO) build ./...
@@ -31,6 +32,13 @@ test-log:
 
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
+
+# One iteration of every benchmark under internal/: `go test` compiles
+# benchmarks but never runs them, so a benchmark that panics or fails
+# its own checks would otherwise go unnoticed. Timings are meaningless
+# at one iteration and nothing is written.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # Every registered experiment at quick size through the parallel
 # runner. Exits nonzero if any point fails its self-validation.

@@ -187,6 +187,9 @@ func Reference(cfg Config) []uint32 {
 // other calls, so one fresh engine may run per worker goroutine.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Procs < 0 {
+		return Result{}, fmt.Errorf("beam: Procs %d < 0", cfg.Procs)
+	}
 	var mcfg core.Config
 	if cfg.Machine != nil {
 		mcfg = *cfg.Machine

@@ -137,6 +137,9 @@ type Result struct {
 // other calls, so one fresh engine may run per worker goroutine.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Procs < 0 {
+		return Result{}, fmt.Errorf("prodsys: Procs %d < 0", cfg.Procs)
+	}
 	rules := GenRules(cfg)
 
 	m, err := core.NewMachine(core.DefaultConfig(cfg.MeshW, cfg.MeshH))

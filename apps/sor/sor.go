@@ -120,6 +120,9 @@ func seedGrid(n int) []uint32 {
 // other calls, so one fresh engine may run per worker goroutine.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Procs < 0 {
+		return Result{}, fmt.Errorf("sor: Procs %d < 0", cfg.Procs)
+	}
 	mcfg := core.DefaultConfig(cfg.MeshW, cfg.MeshH)
 	if cfg.Machine != nil {
 		mcfg = *cfg.Machine

@@ -120,6 +120,9 @@ type Result struct {
 // other calls, so one fresh engine may run per worker goroutine.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Procs < 0 {
+		return Result{}, fmt.Errorf("sssp: Procs %d < 0", cfg.Procs)
+	}
 	g := Generate(cfg.Vertices, cfg.Degree, cfg.MaxWeight, cfg.Seed)
 
 	var mcfg core.Config

@@ -106,6 +106,9 @@ type Result struct {
 // other calls, so one fresh engine may run per worker goroutine.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Procs < 0 {
+		return Result{}, fmt.Errorf("synth: Procs %d < 0", cfg.Procs)
+	}
 	var mcfg core.Config
 	if cfg.Timing != nil {
 		mcfg = *cfg.Timing

@@ -12,8 +12,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 
 	"plus/apps/beam"
@@ -24,136 +27,215 @@ import (
 	"plus/internal/sim"
 )
 
+// cliArgs holds plussim's parsed command line.
+type cliArgs struct {
+	workload, style           string
+	procs, meshW, meshH       int
+	seed                      int64
+	copies                    int
+	validate, stats, halos    bool
+	vertices, degree          int
+	layers, states            int
+	switchCost, beamWidth     uint64
+	facts, rules, grid, iters int
+	ops, local, wfrac         int
+}
+
+// parseArgs parses the command line. On a parse error or an
+// out-of-range value it writes the error and the usage to stderr and
+// returns a non-nil error (flag.ErrHelp for -h).
+func parseArgs(args []string, stderr io.Writer) (cliArgs, error) {
+	var a cliArgs
+	fs := flag.NewFlagSet("plussim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&a.workload, "workload", "sssp", "sssp, beam, prodsys, sor or synth")
+	fs.IntVar(&a.procs, "procs", 16, "participating processors")
+	fs.IntVar(&a.meshW, "mesh-w", 0, "mesh width (default: fits procs)")
+	fs.IntVar(&a.meshH, "mesh-h", 0, "mesh height")
+	fs.Int64Var(&a.seed, "seed", 42, "deterministic seed")
+	fs.IntVar(&a.copies, "copies", 1, "replication level for shared data")
+	fs.BoolVar(&a.validate, "validate", true, "check against the sequential reference")
+	fs.BoolVar(&a.stats, "stats", false, "print the per-node counter report")
+
+	fs.IntVar(&a.vertices, "vertices", 1024, "sssp: graph vertices")
+	fs.IntVar(&a.degree, "degree", 4, "sssp: average out-degree")
+
+	fs.IntVar(&a.layers, "layers", 24, "beam: HMM layers")
+	fs.IntVar(&a.states, "states", 64, "beam: states per layer")
+	fs.StringVar(&a.style, "style", "delayed", "beam: blocking, delayed or cs")
+	fs.Uint64Var(&a.switchCost, "switch-cost", 40, "beam: context-switch cost for -style cs")
+	fs.Uint64Var(&a.beamWidth, "beam", 0, "beam: pruning width (0 = exact search)")
+
+	fs.IntVar(&a.facts, "facts", 1024, "prodsys: working-memory size")
+	fs.IntVar(&a.rules, "rules", 2048, "prodsys: rule count")
+
+	fs.IntVar(&a.grid, "grid", 64, "sor: grid side")
+	fs.IntVar(&a.iters, "iters", 4, "sor: red+black sweeps")
+	fs.BoolVar(&a.halos, "halos", true, "sor: replicate boundary pages")
+
+	fs.IntVar(&a.ops, "ops", 500, "synth: references per processor")
+	fs.IntVar(&a.local, "local", 70, "synth: % local references")
+	fs.IntVar(&a.wfrac, "writes", 30, "synth: % writes")
+	if err := fs.Parse(args); err != nil {
+		return a, err
+	}
+	if err := checkArgs(a); err != nil {
+		fmt.Fprintf(stderr, "plussim: %v\n", err)
+		fs.Usage()
+		return a, err
+	}
+	return a, nil
+}
+
+// checkArgs rejects values no run can honour. The apps read a zero
+// count or percentage as "use my default", so a zero here would run
+// something other than what the report line prints; plussim's flags
+// carry explicit defaults instead, and zero is refused.
+func checkArgs(a cliArgs) error {
+	switch a.workload {
+	case "sssp", "beam", "prodsys", "sor", "synth":
+	default:
+		return fmt.Errorf("unknown workload %q", a.workload)
+	}
+	switch a.style {
+	case "blocking", "delayed", "cs":
+	default:
+		return fmt.Errorf("unknown beam style %q", a.style)
+	}
+	for _, f := range []struct {
+		name     string
+		v        int
+		min, max int
+	}{
+		{"procs", a.procs, 1, math.MaxInt},
+		{"mesh-w", a.meshW, 0, math.MaxInt},
+		{"mesh-h", a.meshH, 0, math.MaxInt},
+		{"copies", a.copies, 1, math.MaxInt},
+		{"vertices", a.vertices, 2, math.MaxInt},
+		{"degree", a.degree, 1, math.MaxInt},
+		{"layers", a.layers, 1, math.MaxInt},
+		{"states", a.states, 1, math.MaxInt},
+		{"facts", a.facts, 1, math.MaxInt},
+		{"rules", a.rules, 1, math.MaxInt},
+		{"grid", a.grid, 1, math.MaxInt},
+		{"iters", a.iters, 1, math.MaxInt},
+		{"ops", a.ops, 1, math.MaxInt},
+		{"local", a.local, 1, 100},
+		{"writes", a.wfrac, 1, 100},
+	} {
+		switch {
+		case f.v >= f.min && f.v <= f.max:
+		case f.max == math.MaxInt:
+			return fmt.Errorf("-%s must be >= %d, got %d", f.name, f.min, f.v)
+		default:
+			return fmt.Errorf("-%s must be in %d..%d, got %d", f.name, f.min, f.max, f.v)
+		}
+	}
+	return nil
+}
+
 func main() {
-	var (
-		workload = flag.String("workload", "sssp", "sssp, beam, prodsys, sor or synth")
-		procs    = flag.Int("procs", 16, "participating processors")
-		meshW    = flag.Int("mesh-w", 0, "mesh width (default: fits procs)")
-		meshH    = flag.Int("mesh-h", 0, "mesh height")
-		seed     = flag.Int64("seed", 42, "deterministic seed")
-		copies   = flag.Int("copies", 1, "replication level for shared data")
-		validate = flag.Bool("validate", true, "check against the sequential reference")
-		stats    = flag.Bool("stats", false, "print the per-node counter report")
-
-		vertices = flag.Int("vertices", 1024, "sssp: graph vertices")
-		degree   = flag.Int("degree", 4, "sssp: average out-degree")
-
-		layers     = flag.Int("layers", 24, "beam: HMM layers")
-		states     = flag.Int("states", 64, "beam: states per layer")
-		style      = flag.String("style", "delayed", "beam: blocking, delayed or cs")
-		switchCost = flag.Uint64("switch-cost", 40, "beam: context-switch cost for -style cs")
-		beamWidth  = flag.Uint64("beam", 0, "beam: pruning width (0 = exact search)")
-
-		facts = flag.Int("facts", 1024, "prodsys: working-memory size")
-		rules = flag.Int("rules", 2048, "prodsys: rule count")
-
-		grid  = flag.Int("grid", 64, "sor: grid side")
-		iters = flag.Int("iters", 4, "sor: red+black sweeps")
-		halos = flag.Bool("halos", true, "sor: replicate boundary pages")
-
-		ops   = flag.Int("ops", 500, "synth: references per processor")
-		local = flag.Int("local", 70, "synth: %% local references")
-		wfrac = flag.Int("writes", 30, "synth: %% writes")
-	)
-	flag.Parse()
-
-	w, h := *meshW, *meshH
-	if w == 0 || h == 0 {
-		w, h = meshFor(*procs)
+	a, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
 	}
 
-	switch *workload {
+	w, h := a.meshW, a.meshH
+	if w == 0 || h == 0 {
+		w, h = meshFor(a.procs)
+	}
+
+	switch a.workload {
 	case "sssp":
 		res, err := sssp.Run(sssp.Config{
-			MeshW: w, MeshH: h, Procs: *procs,
-			Vertices: *vertices, Degree: *degree, Seed: *seed,
-			Copies: *copies, Validate: *validate,
+			MeshW: w, MeshH: h, Procs: a.procs,
+			Vertices: a.vertices, Degree: a.degree, Seed: a.seed,
+			Copies: a.copies, Validate: a.validate,
 		})
 		fail(err)
-		fmt.Printf("sssp: %d procs, %d vertices, %d copies\n", *procs, *vertices, *copies)
+		fmt.Printf("sssp: %d procs, %d vertices, %d copies\n", a.procs, a.vertices, a.copies)
 		fmt.Printf("  elapsed      %d cycles (%.2f ms at 25 MHz)\n", res.Elapsed, ms(res.Elapsed))
 		fmt.Printf("  utilization  %.3f\n", res.Utilization)
 		fmt.Printf("  relaxations  %d\n", res.Relaxations)
 		fmt.Printf("  reads  L/R   %.2f\n", res.ReadRatio)
 		fmt.Printf("  writes L/R   %.2f\n", res.WriteRatio)
 		fmt.Printf("  messages     %d (%d updates, total/update %.2f)\n", res.Messages, res.Updates, res.UpdateRatio)
-		if *stats {
+		if a.stats {
 			fmt.Print("\n", res.Report)
 		}
 	case "beam":
 		st := beam.Delayed
 		var cost sim.Cycles
-		switch *style {
+		switch a.style {
 		case "blocking":
 			st = beam.Blocking
 		case "delayed":
 			st = beam.Delayed
 		case "cs":
 			st = beam.ContextSwitch
-			cost = sim.Cycles(*switchCost)
-		default:
-			fail(fmt.Errorf("unknown beam style %q", *style))
+			cost = sim.Cycles(a.switchCost)
 		}
-		validateBeam := *validate && *beamWidth == 0 // pruning is approximate
+		validateBeam := a.validate && a.beamWidth == 0 // pruning is approximate
 		res, err := beam.Run(beam.Config{
-			MeshW: w, MeshH: h, Procs: *procs,
-			Layers: *layers, States: *states, Branch: 3,
-			Style: st, SwitchCost: cost, Beam: uint32(*beamWidth),
+			MeshW: w, MeshH: h, Procs: a.procs,
+			Layers: a.layers, States: a.states, Branch: 3,
+			Style: st, SwitchCost: cost, Beam: uint32(a.beamWidth),
 			Validate: validateBeam,
 		})
 		fail(err)
-		fmt.Printf("beam: %d procs, %dx%d lattice, style %s\n", *procs, *layers, *states, st)
+		fmt.Printf("beam: %d procs, %dx%d lattice, style %s\n", a.procs, a.layers, a.states, st)
 		fmt.Printf("  elapsed      %d cycles (%.2f ms at 25 MHz)\n", res.Elapsed, ms(res.Elapsed))
 		fmt.Printf("  utilization  %.3f\n", res.Utilization)
 		fmt.Printf("  processed    %d vertices (%d pruned)\n", res.Processed, res.Pruned)
-		if *stats {
+		if a.stats {
 			fmt.Print("\n", res.Report)
 		}
 	case "prodsys":
 		res, err := prodsys.Run(prodsys.Config{
-			MeshW: w, MeshH: h, Procs: *procs,
-			Facts: *facts, Rules: *rules, Seed: *seed,
-			Copies: *copies, Validate: *validate,
+			MeshW: w, MeshH: h, Procs: a.procs,
+			Facts: a.facts, Rules: a.rules, Seed: a.seed,
+			Copies: a.copies, Validate: a.validate,
 		})
 		fail(err)
-		fmt.Printf("prodsys: %d procs, %d facts, %d rules\n", *procs, *facts, *rules)
+		fmt.Printf("prodsys: %d procs, %d facts, %d rules\n", a.procs, a.facts, a.rules)
 		fmt.Printf("  elapsed      %d cycles (%.2f ms at 25 MHz)\n", res.Elapsed, ms(res.Elapsed))
 		fmt.Printf("  utilization  %.3f\n", res.Utilization)
 		fmt.Printf("  fired        %d rules, %d facts derived\n", res.Fired, res.Derived)
-		if *stats {
+		if a.stats {
 			fmt.Print("\n", res.Report)
 		}
 	case "sor":
 		res, err := sor.Run(sor.Config{
-			MeshW: w, MeshH: h, Procs: *procs,
-			N: *grid, Iters: *iters,
-			ReplicateBoundaries: *halos, Validate: *validate,
+			MeshW: w, MeshH: h, Procs: a.procs,
+			N: a.grid, Iters: a.iters,
+			ReplicateBoundaries: a.halos, Validate: a.validate,
 		})
 		fail(err)
-		fmt.Printf("sor: %d procs, %dx%d grid, %d sweeps, halos=%v\n", *procs, *grid, *grid, *iters, *halos)
+		fmt.Printf("sor: %d procs, %dx%d grid, %d sweeps, halos=%v\n", a.procs, a.grid, a.grid, a.iters, a.halos)
 		fmt.Printf("  elapsed      %d cycles (%.2f ms at 25 MHz)\n", res.Elapsed, ms(res.Elapsed))
 		fmt.Printf("  utilization  %.3f\n", res.Utilization)
 		fmt.Printf("  updates      %d stencil applications\n", res.Updates)
-		if *stats {
+		if a.stats {
 			fmt.Print("\n", res.Report)
 		}
 	case "synth":
 		res, err := synth.Run(synth.Config{
-			MeshW: w, MeshH: h, Procs: *procs,
-			OpsPerProc: *ops, LocalFrac: *local, WriteFrac: *wfrac, Seed: *seed,
-			Copies: *copies,
+			MeshW: w, MeshH: h, Procs: a.procs,
+			OpsPerProc: a.ops, LocalFrac: a.local, WriteFrac: a.wfrac, Seed: a.seed,
+			Copies: a.copies,
 		})
 		fail(err)
-		fmt.Printf("synth: %d procs, %d ops each, %d%% local, %d%% writes\n", *procs, *ops, *local, *wfrac)
+		fmt.Printf("synth: %d procs, %d ops each, %d%% local, %d%% writes\n", a.procs, a.ops, a.local, a.wfrac)
 		fmt.Printf("  elapsed      %d cycles (%.2f ms at 25 MHz)\n", res.Elapsed, ms(res.Elapsed))
 		fmt.Printf("  utilization  %.3f\n", res.Utilization)
 		fmt.Printf("  throughput   %.4f refs/cycle\n", res.Throughput)
 		fmt.Printf("  messages     %d (%d updates)\n", res.Messages, res.Updates)
-		if *stats {
+		if a.stats {
 			fmt.Print("\n", res.Report)
 		}
-	default:
-		fail(fmt.Errorf("unknown workload %q", *workload))
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // TestCrossRunDeterminism runs Table 2-1 quick twice in one process
 // and requires bit-identical formatted results: the message pool, the
-// typed event heap, and every reusable completion hook must carry no
+// typed event queue, and every reusable completion hook must carry no
 // state from one run into the next.
 func TestCrossRunDeterminism(t *testing.T) {
 	run := func() string {

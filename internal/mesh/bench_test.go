@@ -25,7 +25,7 @@ func BenchmarkMeshSend(b *testing.B) {
 
 // TestSendAllocFree pins the message path — AllocMsg, Send (with the
 // contention model on), typed delivery, FreeMsg — at zero allocations
-// once the pool and the event heap are warm. This is the regression
+// once the pool and the event queue are warm. This is the regression
 // guard for reintroducing a per-message closure or payload copy.
 func TestSendAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
@@ -36,7 +36,7 @@ func TestSendAllocFree(t *testing.T) {
 	for n := NodeID(0); int(n) < m.Nodes(); n++ {
 		m.Attach(n, drain)
 	}
-	// Warm the pool and heap.
+	// Warm the pool and event queue.
 	for i := 0; i < 64; i++ {
 		m.Send(0, NodeID(1+i%15), 4, m.AllocMsg())
 	}

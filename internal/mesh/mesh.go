@@ -554,7 +554,7 @@ func (m *Mesh) EngineFor(id NodeID) *sim.Engine { return m.engines[m.shardOf[id]
 // destination shard's queue and returns how many it moved. The shard
 // runner calls it at lookahead barriers with every worker quiescent;
 // each entry carries the tie-break key drawn at Send time, and the
-// engines order their heaps by key, so injection order is irrelevant
+// engines order their queues by key, so injection order is irrelevant
 // and the merged schedule matches the serial one exactly.
 func (m *Mesh) DrainMail() int {
 	moved := 0

@@ -36,8 +36,9 @@ func BenchmarkEngineChain(b *testing.B) {
 }
 
 // chainSink reschedules itself until its budget is exhausted,
-// exercising the full schedule → siftUp → pop → siftDown → dispatch
-// cycle with nothing else in the loop.
+// exercising the full schedule → bucket append → bitmap scan → pop →
+// dispatch cycle with a queue one event deep and nothing else in the
+// loop.
 type chainSink struct {
 	eng       *Engine
 	remaining int
@@ -61,6 +62,61 @@ func BenchmarkEngineHotPath(b *testing.B) {
 		s.remaining = 1000
 		eng.ScheduleEvent(1, s, 0, nil)
 		eng.Run()
+	}
+}
+
+// holdDelays is the scheduling-delay mix of sssp-16x16 (seed 1, all
+// 5.1 M events of its four graphs), in per-mille weights: 14% of events
+// are zero-delay, most of the rest sit between 8 and 52 cycles (cache
+// and mesh latencies), and about 0.2% lie 1024 or more cycles out.
+var holdDelays = func() (t [1000]Cycles) {
+	i := 0
+	for _, w := range []struct {
+		d Cycles
+		n int
+	}{
+		{0, 143}, {8, 160}, {10, 119}, {12, 171}, {14, 28}, {20, 10},
+		{24, 30}, {25, 119}, {32, 33}, {38, 32}, {46, 26}, {52, 113},
+		{100, 2}, {200, 12}, {1500, 2},
+	} {
+		for ; w.n > 0; w.n-- {
+			t[i] = w.d
+			i++
+		}
+	}
+	return t
+}()
+
+// holdSink is the hold model: each dispatched event runs as a random
+// node's activity and schedules one replacement with a delay drawn
+// from holdDelays, so the queue stays at its resident depth.
+type holdSink struct {
+	eng *Engine
+	x   uint64
+}
+
+func (h *holdSink) HandleEvent(int, any) {
+	h.x = h.x*6364136223846793005 + 1442695040888963407
+	h.eng.SetLane(int32(h.x >> 56))
+	h.eng.ScheduleEvent(holdDelays[(h.x>>32)%uint64(len(holdDelays))], h, 0, nil)
+}
+
+// BenchmarkEngineHold measures one schedule plus one dispatch with the
+// queue held at sssp-16x16's resident depth of about 270 events.
+func BenchmarkEngineHold(b *testing.B) {
+	const depth = 270
+	b.ReportAllocs()
+	eng := NewEngine()
+	h := &holdSink{eng: eng, x: 1}
+	for i := 0; i < depth; i++ {
+		h.HandleEvent(0, nil)
+	}
+	eng.RunLimit(10 * depth) // warm-up: reach the steady-state mix
+	b.ResetTimer()
+	eng.RunLimit(uint64(b.N))
+	b.StopTimer()
+	if eng.Pending() != depth {
+		b.Fatalf("queue depth drifted to %d, want %d", eng.Pending(), depth)
 	}
 }
 
@@ -105,7 +161,7 @@ func BenchmarkCoroutineHandoff(b *testing.B) {
 }
 
 // TestScheduleEventAllocFree pins the typed event path at zero
-// allocations per event once the heap's backing array has grown to
+// allocations per event once the event slab has grown to
 // working size — the regression guard for reintroducing a per-event
 // closure or interface box.
 func TestScheduleEventAllocFree(t *testing.T) {
@@ -133,7 +189,7 @@ func TestCoroutineWakeAllocFree(t *testing.T) {
 	eng := NewEngine()
 	log := make([]byte, 0, 2*waits)
 	alternatingPair(eng, waits, &log)
-	eng.RunLimit(500) // warm-up: goroutine stacks, heap array
+	eng.RunLimit(500) // warm-up: goroutine stacks, event slab
 	avg := testing.AllocsPerRun(20, func() { eng.RunLimit(200) })
 	if avg != 0 {
 		t.Fatalf("coroutine switch allocates %v objects per run, want 0", avg)

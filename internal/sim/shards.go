@@ -14,7 +14,7 @@ import "fmt"
 // [T, T+Window-1] on its own worker goroutine, then synchronizes at a
 // barrier where the round's cross-shard messages are injected into the
 // owning shards' queues (Drain) carrying the tie-break keys drawn at
-// send time. Because every engine orders its heap by the (at, lane,
+// send time. Because every engine orders its queue by the (at, lane,
 // seq) key — not by insertion order — the merged schedule is
 // byte-identical to a single serial engine running the same program.
 type ShardSet struct {
