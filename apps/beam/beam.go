@@ -190,6 +190,9 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Procs < 0 {
 		return Result{}, fmt.Errorf("beam: Procs %d < 0", cfg.Procs)
 	}
+	if cfg.Layers < 0 || cfg.States < 0 {
+		return Result{}, fmt.Errorf("beam: Layers %d or States %d < 0", cfg.Layers, cfg.States)
+	}
 	var mcfg core.Config
 	if cfg.Machine != nil {
 		mcfg = *cfg.Machine

@@ -123,6 +123,9 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Procs < 0 {
 		return Result{}, fmt.Errorf("sor: Procs %d < 0", cfg.Procs)
 	}
+	if cfg.Iters < 0 {
+		return Result{}, fmt.Errorf("sor: Iters %d < 0", cfg.Iters)
+	}
 	mcfg := core.DefaultConfig(cfg.MeshW, cfg.MeshH)
 	if cfg.Machine != nil {
 		mcfg = *cfg.Machine

@@ -12,7 +12,9 @@
 package sssp
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"plus/internal/core"
 	"plus/internal/memory"
@@ -123,6 +125,9 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Procs < 0 {
 		return Result{}, fmt.Errorf("sssp: Procs %d < 0", cfg.Procs)
 	}
+	if cfg.Vertices < 2 {
+		return Result{}, fmt.Errorf("sssp: Vertices %d < 2", cfg.Vertices)
+	}
 	g := Generate(cfg.Vertices, cfg.Degree, cfg.MaxWeight, cfg.Seed)
 
 	var mcfg core.Config
@@ -201,6 +206,11 @@ type workspace struct {
 	// unreplicated configuration whose load imbalance Figure 2-1 shows.
 	visible [][]int
 
+	// near memoizes nearest per home node (nil until first asked);
+	// cands is its sort buffer.
+	near  [][]mesh.NodeID
+	cands []mesh.NodeID
+
 	// relaxations is counted per worker: each processor's thread bumps
 	// only its own slot, so the tally stays race-free when processors
 	// run on different shards. Summed for Result.Relaxations.
@@ -268,7 +278,7 @@ func newWorkspace(m *core.Machine, g *Graph, cfg Config) *workspace {
 			for i := 0; i < pages; i++ {
 				va := base + memory.VAddr(i*memory.PageWords)
 				home := w.m.Kernel().CopyList(va.Page())[0].Node
-				for _, n := range w.nearest(home, cfg.Copies-1) {
+				for _, n := range w.nearest(home) {
 					m.Replicate(va, n)
 				}
 			}
@@ -283,7 +293,7 @@ func newWorkspace(m *core.Machine, g *Graph, cfg Config) *workspace {
 			}
 			// Replicating processor p's queues onto its neighbours
 			// shares them: those nodes may now extract p's work.
-			for _, n := range w.nearest(mesh.NodeID(p), cfg.Copies-1) {
+			for _, n := range w.nearest(mesh.NodeID(p)) {
 				w.visible[int(n)] = append(w.visible[int(n)], p)
 			}
 		}
@@ -322,34 +332,29 @@ func (w *workspace) pageHomes(words int, ownerOf func(word int) int) []mesh.Node
 	return homes
 }
 
-// nearest returns the k participating nodes nearest to home (excluding
-// home), deterministic order.
-func (w *workspace) nearest(home mesh.NodeID, k int) []mesh.NodeID {
-	type cand struct {
-		n mesh.NodeID
-		h int
+// nearest returns the Copies-1 participating nodes nearest to home
+// (excluding home), ordered by (hops, id). The answer depends only on
+// home, so it is computed once per home node.
+func (w *workspace) nearest(home mesh.NodeID) []mesh.NodeID {
+	if w.near == nil {
+		w.near = make([][]mesh.NodeID, w.m.Nodes())
 	}
-	var cs []cand
+	if out := w.near[home]; out != nil {
+		return out
+	}
+	cs := w.cands[:0]
 	for p := 0; p < w.cfg.Procs; p++ {
-		n := mesh.NodeID(p)
-		if n == home {
-			continue
-		}
-		cs = append(cs, cand{n, w.m.Mesh().Hops(home, n)})
-	}
-	// Insertion sort by (hops, id): small and deterministic.
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && (cs[j].h < cs[j-1].h || (cs[j].h == cs[j-1].h && cs[j].n < cs[j-1].n)); j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
+		if n := mesh.NodeID(p); n != home {
+			cs = append(cs, n)
 		}
 	}
-	if k > len(cs) {
-		k = len(cs)
-	}
-	out := make([]mesh.NodeID, k)
-	for i := 0; i < k; i++ {
-		out[i] = cs[i].n
-	}
+	hops := func(n mesh.NodeID) int { return w.m.Mesh().Hops(home, n) }
+	slices.SortFunc(cs, func(a, b mesh.NodeID) int {
+		return cmp.Or(cmp.Compare(hops(a), hops(b)), cmp.Compare(a, b))
+	})
+	w.cands = cs
+	out := slices.Clone(cs[:min(w.cfg.Copies-1, len(cs))])
+	w.near[home] = out
 	return out
 }
 

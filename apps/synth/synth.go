@@ -109,6 +109,9 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Procs < 0 {
 		return Result{}, fmt.Errorf("synth: Procs %d < 0", cfg.Procs)
 	}
+	if cfg.OpsPerProc < 0 || cfg.Copies < 0 {
+		return Result{}, fmt.Errorf("synth: OpsPerProc %d or Copies %d < 0", cfg.OpsPerProc, cfg.Copies)
+	}
 	var mcfg core.Config
 	if cfg.Timing != nil {
 		mcfg = *cfg.Timing

@@ -83,3 +83,29 @@ func TestAppsRejectNegativeProcs(t *testing.T) {
 		}
 	}
 }
+
+// TestAppsRejectBadSizes pins the apps' checks of their other size
+// fields: a value no run can use is an error from Run, not a panic in
+// set-up or a meaningless result.
+func TestAppsRejectBadSizes(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"sssp-vertices-1", func() error { _, err := sssp.Run(sssp.Config{Vertices: 1}); return err }, "Vertices 1 < 2"},
+		{"sssp-vertices-neg", func() error { _, err := sssp.Run(sssp.Config{Vertices: -3}); return err }, "Vertices -3 < 2"},
+		{"beam-layers", func() error { _, err := beam.Run(beam.Config{Layers: -1}); return err }, "Layers -1"},
+		{"beam-states", func() error { _, err := beam.Run(beam.Config{States: -2}); return err }, "States -2"},
+		{"synth-ops", func() error { _, err := synth.Run(synth.Config{OpsPerProc: -5}); return err }, "OpsPerProc -5"},
+		{"synth-copies", func() error { _, err := synth.Run(synth.Config{Copies: -1}); return err }, "Copies -1"},
+		{"sor-iters", func() error { _, err := sor.Run(sor.Config{Iters: -1}); return err }, "Iters -1 < 0"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.run(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %v, want one naming %q", err, c.want)
+			}
+		})
+	}
+}

@@ -86,17 +86,17 @@ type CM struct {
 	tm   timing.Timing
 	st   *stats.Machine
 
-	// master maps each locally present frame to the global address of
-	// the page's master copy. Maintained by the operating system
-	// (kernel package); consulted by the write/RMW routing hardware.
-	master map[memory.PPage]memory.GPage
-	// next maps each locally present frame to its successor on the
-	// copy-list, or NilGPage at the end of the list.
-	next map[memory.PPage]memory.GPage
+	// frames is the master and next-copy table, indexed by local frame
+	// (§2.3). Frames are numbered densely from 0 by memory.AllocFrame,
+	// so the table is a slice that grows as frames are installed.
+	// Maintained by the operating system (kernel package); consulted by
+	// the write/RMW routing hardware.
+	frames []frameEntry
 
-	// Pending-writes cache.
-	pending      map[uint64]GAddr
-	pendingAddrs map[GAddr]int
+	// Pending-writes cache: Timing.MaxPendingWrites slots, a free slot
+	// holding id 0 (ids start at 1). npend counts the busy slots.
+	pending      []pendingWrite
+	npend        int
 	nextID       uint64
 	writeWaiters []func()
 	fenceWaiters []func()
@@ -127,8 +127,10 @@ type CM struct {
 	slots       []dslot
 	slotWaiters []func()
 
-	// Outstanding remote blocking reads.
-	readWaiters map[uint64]readWaiter
+	// Outstanding remote blocking reads, one entry per blocked reader
+	// (so no more than the node's threads in use); a free entry holds
+	// id 0. The list grows only when every entry is busy.
+	reads []readWaiter
 
 	// rdFree recycles local-read completions.
 	rdFree []*readDone
@@ -170,6 +172,24 @@ type CM struct {
 	lastCause uint64
 }
 
+// frameEntry is one frame's row in the coherence tables: the global
+// address of the page's master copy and the frame's successor on the
+// copy-list (NilGPage at the end of the list). installed is false for
+// a frame the kernel never installed or has dropped.
+type frameEntry struct {
+	installed bool
+	master    memory.GPage
+	next      memory.GPage
+}
+
+// pendingWrite is one pending-writes cache entry: the write's id and
+// the address it targets (for the read-blocking rule). id 0 marks a
+// free entry.
+type pendingWrite struct {
+	id uint64
+	g  GAddr
+}
+
 // issueRec remembers when an operation was issued and the causal ID
 // stamped on its messages, for latency histograms and span events.
 type issueRec struct {
@@ -201,10 +221,11 @@ type dslot struct {
 	gen     uint64
 }
 
-// readWaiter is one outstanding remote blocking read: the completion
-// callback plus the target address, kept so a crash epoch can re-issue
-// the read against the page's new master.
+// readWaiter is one outstanding remote blocking read: its id, the
+// completion callback, and the target address, kept so a crash epoch
+// can re-issue the read against the page's new master.
 type readWaiter struct {
+	id uint64
 	g  GAddr
 	fn func(memory.Word)
 }
@@ -213,22 +234,18 @@ type readWaiter struct {
 // mesh. It attaches itself as the node's message port.
 func New(self mesh.NodeID, eng *sim.Engine, net *mesh.Mesh, mem *memory.Memory, ca *cache.Cache, tm timing.Timing, st *stats.Machine) *CM {
 	cm := &CM{
-		self:         self,
-		eng:          eng,
-		net:          net,
-		mem:          mem,
-		ca:           ca,
-		tm:           tm,
-		st:           st,
-		master:       make(map[memory.PPage]memory.GPage),
-		next:         make(map[memory.PPage]memory.GPage),
-		pending:      make(map[uint64]GAddr),
-		pendingAddrs: make(map[GAddr]int),
-		nextID:       1,
-		readRetry:    make(map[GAddr][]func()),
-		slots:        make([]dslot, tm.MaxDelayedOps),
-		readWaiters:  make(map[uint64]readWaiter),
-		batchMax:     tm.MaxBatchWrites,
+		self:      self,
+		eng:       eng,
+		net:       net,
+		mem:       mem,
+		ca:        ca,
+		tm:        tm,
+		st:        st,
+		pending:   make([]pendingWrite, tm.MaxPendingWrites),
+		nextID:    1,
+		readRetry: make(map[GAddr][]func()),
+		slots:     make([]dslot, tm.MaxDelayedOps),
+		batchMax:  tm.MaxBatchWrites,
 	}
 	if cm.batchMax < 1 {
 		cm.batchMax = 1 // zero-valued Timing tables mean "no combining"
@@ -279,48 +296,65 @@ func (cm *CM) freeMsg(m *mesh.Msg) { cm.net.FreeMsgAt(cm.self, m) }
 // successor, making the replication structure visible to the hardware
 // via the master and next-copy tables (§2.3).
 func (cm *CM) InstallPage(frame memory.PPage, master, next memory.GPage) {
-	cm.master[frame] = master
-	cm.next[frame] = next
+	if n := int(frame) + 1; n > len(cm.frames) {
+		cm.frames = append(cm.frames, make([]frameEntry, n-len(cm.frames))...)
+	}
+	cm.frames[frame] = frameEntry{installed: true, master: master, next: next}
+}
+
+// frame returns frame f's table row, or nil when f is not installed.
+func (cm *CM) frame(f memory.PPage) *frameEntry {
+	if uint(f) >= uint(len(cm.frames)) || !cm.frames[f].installed {
+		return nil
+	}
+	return &cm.frames[f]
 }
 
 // SetNext rewrites the successor of a local frame (copy-list splice).
 func (cm *CM) SetNext(frame memory.PPage, next memory.GPage) {
-	if _, ok := cm.next[frame]; !ok {
+	e := cm.frame(frame)
+	if e == nil {
 		panic(fmt.Sprintf("coherence: SetNext of uninstalled frame %d on node %d", frame, cm.self))
 	}
-	cm.next[frame] = next
+	e.next = next
 }
 
 // SetMaster rewrites the master pointer of a local frame (used when
 // the master migrates).
 func (cm *CM) SetMaster(frame memory.PPage, master memory.GPage) {
-	if _, ok := cm.master[frame]; !ok {
+	e := cm.frame(frame)
+	if e == nil {
 		panic(fmt.Sprintf("coherence: SetMaster of uninstalled frame %d on node %d", frame, cm.self))
 	}
-	cm.master[frame] = master
+	e.master = master
 }
 
 // DropPage removes a frame's coherence tables (copy deletion).
 func (cm *CM) DropPage(frame memory.PPage) {
-	delete(cm.master, frame)
-	delete(cm.next, frame)
+	if e := cm.frame(frame); e != nil {
+		*e = frameEntry{}
+	}
 }
 
 // Master returns the master pointer for a local frame.
 func (cm *CM) Master(frame memory.PPage) (memory.GPage, bool) {
-	g, ok := cm.master[frame]
-	return g, ok
+	if e := cm.frame(frame); e != nil {
+		return e.master, true
+	}
+	return memory.GPage{}, false
 }
 
 // Next returns the copy-list successor for a local frame.
 func (cm *CM) Next(frame memory.PPage) (memory.GPage, bool) {
-	g, ok := cm.next[frame]
-	return g, ok
+	if e := cm.frame(frame); e != nil {
+		return e.next, true
+	}
+	return memory.GPage{}, false
 }
 
 // PendingCount returns the number of incomplete writes (pending-writes
 // cache occupancy).
-func (cm *CM) PendingCount() int { return len(cm.pending) }
+func (cm *CM) PendingCount() int { return cm.npend }
 
 // LastCause returns the causal ID drawn by the most recent traced
 // issue on this node (0 when the last operation drew none — a local
@@ -366,7 +400,7 @@ func (cm *CM) Read(g GAddr, done func(memory.Word)) {
 	}
 	// Reading a location that is currently being written blocks until
 	// the write completes (intra-processor strong ordering, §2.3).
-	if cm.pendingAddrs[g] > 0 {
+	if cm.pendingTo(g) {
 		cm.readRetry[g] = append(cm.readRetry[g], func() { cm.Read(g, done) })
 		return
 	}
@@ -389,7 +423,7 @@ func (cm *CM) Read(g GAddr, done func(memory.Word)) {
 	cm.node().RemoteReads++
 	id := cm.nextID
 	cm.nextID++
-	cm.readWaiters[id] = readWaiter{g: g, fn: done}
+	cm.addRead(readWaiter{id: id, g: g, fn: done})
 	// The paper charges "about 32 cycles plus the round-trip delay"
 	// for a remote blocking read; the 32 cycles are the processor and
 	// interface overhead, charged here before the request enters the
@@ -432,7 +466,7 @@ func (cm *CM) scheduleReadDone(delay sim.Cycles, fn func(memory.Word), v memory.
 // rest in the combine buffer; see batch.go for the flush triggers.
 func (cm *CM) Write(g GAddr, v memory.Word, accepted func()) {
 	cm.lastCause = 0
-	if len(cm.pending) >= cm.tm.MaxPendingWrites {
+	if cm.npend == len(cm.pending) {
 		// The cache is full: flush the combine buffer first, or the
 		// acks that free an entry (and wake this waiter) never happen.
 		cm.FlushBatch()
@@ -486,7 +520,7 @@ func (cm *CM) countWrite(g GAddr) {
 func (cm *CM) Fence(done func()) {
 	cm.FlushBatch() // buffered writes count as "earlier writes"
 	cm.node().Fences++
-	if len(cm.pending) == 0 {
+	if cm.npend == 0 {
 		done()
 		return
 	}
@@ -512,7 +546,7 @@ func (cm *CM) RMW(op Op, g GAddr, operand memory.Word, issued func(slot int)) {
 	}
 	var pid uint64
 	if !op.IsRead() {
-		if len(cm.pending) >= cm.tm.MaxPendingWrites {
+		if cm.npend == len(cm.pending) {
 			cm.writeWaiters = append(cm.writeWaiters, func() { cm.RMW(op, g, operand, issued) })
 			return
 		}
@@ -527,7 +561,7 @@ func (cm *CM) RMW(op Op, g GAddr, operand memory.Word, issued func(slot int)) {
 	n := cm.node()
 	if op.IsRead() {
 		if g.Node == cm.self {
-			if m, ok := cm.master[g.Page]; ok && m.Node == cm.self {
+			if e := cm.frame(g.Page); e != nil && e.master.Node == cm.self {
 				n.LocalReads++
 			} else {
 				n.RemoteReads++
@@ -622,20 +656,82 @@ func (cm *CM) PageCopy(src memory.PPage, dst memory.GPage, done func()) {
 // finishes without any network traffic: master here and no copy-list
 // successor.
 func (cm *CM) completesLocally(frame memory.PPage) bool {
-	m, ok := cm.master[frame]
-	if !ok || m.Node != cm.self {
-		return false
-	}
-	nxt, ok := cm.next[frame]
-	return ok && nxt.IsNil()
+	e := cm.frame(frame)
+	return e != nil && e.master.Node == cm.self && e.next.IsNil()
 }
 
+// allocPending takes a free pending-writes entry for a write to g and
+// returns its id. The caller has checked that one is free.
 func (cm *CM) allocPending(g GAddr) uint64 {
 	id := cm.nextID
 	cm.nextID++
-	cm.pending[id] = g
-	cm.pendingAddrs[g]++
-	return id
+	for i := range cm.pending {
+		if cm.pending[i].id == 0 {
+			cm.pending[i] = pendingWrite{id: id, g: g}
+			cm.npend++
+			return id
+		}
+	}
+	panic(fmt.Sprintf("coherence: pending-writes cache overflow on node %d", cm.self))
+}
+
+// pendingTo reports whether a pending write targets g (the read-blocking
+// rule).
+func (cm *CM) pendingTo(g GAddr) bool {
+	if cm.npend == 0 {
+		return false
+	}
+	for i := range cm.pending {
+		if cm.pending[i].id != 0 && cm.pending[i].g == g {
+			return true
+		}
+	}
+	return false
+}
+
+// pendingSlot returns the index of the entry holding write id, or -1.
+func (cm *CM) pendingSlot(id uint64) int {
+	for i := range cm.pending {
+		if cm.pending[i].id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// pendingIDs returns the ids of the busy pending-writes entries that
+// keep selects, in ascending order (crash-epoch sweeps retire them in
+// this order so recovery stays deterministic).
+func (cm *CM) pendingIDs(keep func(GAddr) bool) []uint64 {
+	var ids []uint64
+	for _, p := range cm.pending {
+		if p.id != 0 && keep(p.g) {
+			ids = append(ids, p.id)
+		}
+	}
+	sortIDs(ids)
+	return ids
+}
+
+// addRead records an outstanding remote read in a free entry.
+func (cm *CM) addRead(w readWaiter) {
+	for i := range cm.reads {
+		if cm.reads[i].id == 0 {
+			cm.reads[i] = w
+			return
+		}
+	}
+	cm.reads = append(cm.reads, w)
+}
+
+// readSlot returns the index of outstanding read id, or -1.
+func (cm *CM) readSlot(id uint64) int {
+	for i := range cm.reads {
+		if cm.reads[i].id == id {
+			return i
+		}
+	}
+	return -1
 }
 
 func (cm *CM) freeSlot() int {
@@ -660,8 +756,8 @@ func (cm *CM) releaseSlot(slot int) {
 // retirement unblocks: readers of that address, one writer waiting for
 // a free entry, and — when the cache drains — fence waiters.
 func (cm *CM) finishWrite(id uint64) {
-	g, ok := cm.pending[id]
-	if !ok {
+	i := cm.pendingSlot(id)
+	if i < 0 {
 		if cm.crashy {
 			// The entry was force-retired by a crash epoch and the
 			// chain's real ack arrived later (the chain survived after
@@ -679,9 +775,10 @@ func (cm *CM) finishWrite(id uint64) {
 			o.Emit(stats.EvWriteAck, int(cm.self), 0, rec.cause, lat, id)
 		}
 	}
-	delete(cm.pending, id)
-	if cm.pendingAddrs[g]--; cm.pendingAddrs[g] == 0 {
-		delete(cm.pendingAddrs, g)
+	g := cm.pending[i].g
+	cm.pending[i] = pendingWrite{}
+	cm.npend--
+	if !cm.pendingTo(g) {
 		if rs := cm.readRetry[g]; len(rs) > 0 {
 			delete(cm.readRetry, g)
 			for _, r := range rs {
@@ -694,7 +791,7 @@ func (cm *CM) finishWrite(id uint64) {
 		cm.writeWaiters = cm.writeWaiters[1:]
 		w()
 	}
-	if len(cm.pending) == 0 && len(cm.fenceWaiters) > 0 {
+	if cm.npend == 0 && len(cm.fenceWaiters) > 0 {
 		// Swap in the spare array before running the waiters: a waiter
 		// that fences again lands on the fresh list, and a nested drain
 		// cannot reuse the array this loop is reading.
@@ -737,14 +834,15 @@ func (cm *CM) applyWrites(frame memory.PPage, ws []wordWrite) {
 // local processor or the network): perform it here if this node holds
 // the master copy, otherwise forward the message to the master.
 func (cm *CM) arriveWrite(m *mesh.Msg) {
-	mg, ok := cm.master[m.Page]
-	if !ok {
+	e := cm.frame(m.Page)
+	if e == nil {
 		if cm.crashy {
 			cm.orphanRequest(m)
 			return
 		}
 		panic(fmt.Sprintf("coherence: write to uninstalled frame %d on node %d", m.Page, cm.self))
 	}
+	mg := e.master
 	if mg.Node != cm.self {
 		m.Page = mg.Page
 		cm.send(mg.Node, m)
@@ -762,18 +860,7 @@ func (cm *CM) arriveWrite(m *mesh.Msg) {
 // either forwarding it as the next kUpdate hop, returning it to the
 // originator as the kAck, or recycling it.
 func (cm *CM) propagate(frame memory.PPage, m *mesh.Msg) {
-	nxt, ok := cm.next[frame]
-	if !ok {
-		if cm.crashy {
-			// The frame was dropped by a failover between apply and
-			// propagate: treat this copy as the end of the chain (the
-			// kernel's resync cascade restores any downstream copies).
-			cm.st.CrashOrphans++
-			nxt = memory.NilGPage
-		} else {
-			panic(fmt.Sprintf("coherence: no next-copy entry for frame %d on node %d", frame, cm.self))
-		}
-	}
+	nxt := cm.nextCopy(frame)
 	if !nxt.IsNil() {
 		m.Kind = kUpdate
 		m.Page = nxt.Page
@@ -795,17 +882,34 @@ func (cm *CM) propagate(frame memory.PPage, m *mesh.Msg) {
 	cm.send(m.Origin, m)
 }
 
+// nextCopy returns frame's copy-list successor for a modification that
+// has just been applied to it. On crash-script runs a frame dropped by
+// a failover between apply and propagate counts as the end of the
+// chain (the kernel's resync cascade restores any downstream copies);
+// on any other run a missing entry is a protocol bug.
+func (cm *CM) nextCopy(frame memory.PPage) memory.GPage {
+	if e := cm.frame(frame); e != nil {
+		return e.next
+	}
+	if !cm.crashy {
+		panic(fmt.Sprintf("coherence: no next-copy entry for frame %d on node %d", frame, cm.self))
+	}
+	cm.st.CrashOrphans++
+	return memory.NilGPage
+}
+
 // arriveRMW handles a kRMWReq that has reached this node: execute if
 // the master is local, else forward the message toward the master.
 func (cm *CM) arriveRMW(m *mesh.Msg) {
-	mg, ok := cm.master[m.Page]
-	if !ok {
+	e := cm.frame(m.Page)
+	if e == nil {
 		if cm.crashy {
 			cm.orphanRequest(m)
 			return
 		}
 		panic(fmt.Sprintf("coherence: RMW to uninstalled frame %d on node %d", m.Page, cm.self))
 	}
+	mg := e.master
 	if mg.Node != cm.self {
 		m.Page = mg.Page
 		cm.send(mg.Node, m)
@@ -831,7 +935,7 @@ func (cm *CM) execRMW(m *mesh.Msg) {
 	if o := cm.obs(); o != nil {
 		o.Emit(stats.EvRMWExec, int(cm.self), m.Op, m.Cause, uint64(m.Page), uint64(len(ws)))
 	}
-	nxt := cm.next[m.Page]
+	nxt := cm.nextCopy(m.Page)
 	// The reply completes the operation outright when nothing needs
 	// propagating (no modification, or the master is the only copy).
 	complete := len(ws) == 0 || nxt.IsNil()
@@ -948,8 +1052,8 @@ func (cm *CM) Deliver(m *mesh.Msg) {
 	case kReadReq, kWriteReq, kUpdate, kRMWReq:
 		cm.eng.ScheduleEvent(cm.tm.CMProcess, cm, ckProcess, m)
 	case kReadReply:
-		w, ok := cm.readWaiters[m.ID]
-		if !ok {
+		i := cm.readSlot(m.ID)
+		if i < 0 {
 			if cm.crashy {
 				// A reply to a read the crash epoch already re-issued
 				// and resolved (or force-completed).
@@ -959,8 +1063,8 @@ func (cm *CM) Deliver(m *mesh.Msg) {
 			}
 			panic(fmt.Sprintf("coherence: read reply for unknown id %d on node %d", m.ID, cm.self))
 		}
-		done := w.fn
-		delete(cm.readWaiters, m.ID)
+		done := cm.reads[i].fn
+		cm.reads[i] = readWaiter{}
 		if o := cm.obs(); o != nil {
 			if rec, ok := cm.rdIssued[m.ID]; ok {
 				delete(cm.rdIssued, m.ID)
@@ -1055,9 +1159,9 @@ func (cm *CM) process(m *mesh.Msg) {
 		if cm.invalidateMode && cm.isInvalid(m.Page, m.Off) {
 			// Stale replica word: forward the request to the master
 			// rather than serving old data.
-			if mg, ok := cm.master[m.Page]; ok && mg.Node != cm.self {
-				m.Page = mg.Page
-				cm.send(mg.Node, m)
+			if e := cm.frame(m.Page); e != nil && e.master.Node != cm.self {
+				m.Page = e.master.Page
+				cm.send(e.master.Node, m)
 				return
 			}
 		}

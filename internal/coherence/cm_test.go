@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"testing"
 
 	"plus/internal/cache"
@@ -263,6 +264,99 @@ func TestReadBlocksOnPendingWrite(t *testing.T) {
 		t.Fatalf("read completed at %d before write retired at %d", readDone, ackAt)
 	}
 }
+
+// TestPendingWritesDepths drives the pending-writes cache at every
+// depth from 1 to 16, with write combining off and on, from a replica
+// of a 4-copy page: the first depth writes are accepted at once and
+// the rest wait for a free entry; a read of a pending address waits
+// until that write retires, a read of any other address does not; a
+// fence fires exactly when the cache drains; and once warm a round of
+// writes, their acks and a fence allocates nothing.
+func TestPendingWritesDepths(t *testing.T) {
+	for _, batch := range []int{1, 4} {
+		for depth := 1; depth <= 16; depth++ {
+			t.Run(fmt.Sprintf("batch%d/depth%d", batch, depth), func(t *testing.T) {
+				tm := timing.Default()
+				tm.MaxPendingWrites, tm.MaxBatchWrites = depth, batch
+				r := newRigTiming(t, 4, 4, tm)
+				frames := r.page(5, 6, 9, 10)
+				w := r.cms[6]
+				at := func(off uint32) GAddr { return GAddr{6, frames[6], off} }
+
+				const extra = 3
+				accepted := 0
+				accept := func() {
+					accepted++
+					if accepted > depth {
+						// A writer that waited for an entry resumes and
+						// parks again at once; parking flushes the combine
+						// buffer, as the processor layer does.
+						w.FlushBatch()
+					}
+				}
+				for i := 0; i < depth+extra; i++ {
+					w.Write(at(uint32(i)), memory.Word(100+i), accept)
+				}
+				if accepted != depth || w.PendingCount() != depth || len(w.writeWaiters) != extra {
+					t.Fatalf("accepted %d, pending %d, waiting %d; want %d, %d, %d",
+						accepted, w.PendingCount(), len(w.writeWaiters), depth, depth, extra)
+				}
+
+				blocked, free := memory.Word(0), memory.Word(1)
+				w.Read(at(0), func(v memory.Word) {
+					if w.pendingTo(at(0)) {
+						t.Error("blocked read completed while its address was still pending")
+					}
+					blocked = v
+				})
+				if len(w.readRetry[at(0)]) != 1 {
+					t.Fatal("read of a pending address did not block")
+				}
+				w.Read(at(memory.PageWords-1), func(v memory.Word) { free = v })
+				if len(w.readRetry[at(memory.PageWords-1)]) != 0 {
+					t.Fatal("read of an address with no pending write blocked")
+				}
+
+				fenced := false
+				w.Fence(func() {
+					if w.PendingCount() != 0 {
+						t.Errorf("fence fired with %d writes pending", w.PendingCount())
+					}
+					fenced = true
+				})
+				r.eng.Run()
+				if !fenced || accepted != depth+extra || w.PendingCount() != 0 || len(w.readRetry) != 0 {
+					t.Fatalf("after run: fenced %v, accepted %d, pending %d, blocked reads %d",
+						fenced, accepted, w.PendingCount(), len(w.readRetry))
+				}
+				if blocked != 100 || free != 0 {
+					t.Fatalf("reads returned %d and %d, want 100 and 0", blocked, free)
+				}
+				for i := 0; i < depth+extra; i++ {
+					if v := r.mems[10].Read(frames[10], uint32(i)); v != memory.Word(100+i) {
+						t.Fatalf("tail copy word %d = %d, want %d", i, v, 100+i)
+					}
+				}
+
+				v := memory.Word(0)
+				avg := testing.AllocsPerRun(20, func() {
+					for i := 0; i < depth; i++ {
+						v++
+						w.Write(at(uint32(i)), v, noopAccept)
+					}
+					w.Fence(noopFence)
+					r.eng.Run()
+				})
+				if avg != 0 || w.PendingCount() != 0 {
+					t.Fatalf("write+ack round allocates %v objects (pending %d after), want 0", avg, w.PendingCount())
+				}
+			})
+		}
+	}
+}
+
+// noopFence is a package-level fence callback for the alloc pins.
+func noopFence() {}
 
 func TestFenceSynchronousWhenIdle(t *testing.T) {
 	r := newRig(t, 2, 1)

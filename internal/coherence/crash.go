@@ -130,26 +130,8 @@ func (cm *CM) Crash() {
 // incarnation), and re-issued reads and delayed operations.
 func (cm *CM) Restart() {
 	cm.down = false
-	for f := range cm.master {
-		delete(cm.master, f)
-	}
-	for f := range cm.next {
-		delete(cm.next, f)
-	}
-	if n := len(cm.pending); n > 0 {
-		ids := make([]uint64, 0, n)
-		for id := range cm.pending {
-			ids = append(ids, id)
-		}
-		sortIDs(ids)
-		for _, id := range ids {
-			if _, ok := cm.pending[id]; !ok {
-				continue // batch member retired by its lead id
-			}
-			cm.st.ForcedRetires++
-			cm.retireWrite(id)
-		}
-	}
+	clear(cm.frames)
+	cm.forceRetire(cm.pendingIDs(func(GAddr) bool { return true }))
 	cm.reissueReads(func(uint64, readWaiter) bool { return true })
 	for i := range cm.slots {
 		if cm.slots[i].busy && !cm.slots[i].ready {
@@ -189,9 +171,9 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 	for _, c := range queue {
 		switch c.Kind {
 		case kReadReq:
-			w, waiting := cm.readWaiters[c.ID]
+			i := cm.readSlot(c.ID)
 			g, ok := reroute(c.Page)
-			if !waiting || !ok {
+			if i < 0 || !ok {
 				cm.st.CrashOrphans++
 				cm.freeMsg(c)
 				continue
@@ -200,7 +182,8 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 			cm.st.RedirectedMsgs++
 			c.Seq, c.Nacked = 0, false
 			if g.Node == cm.self {
-				delete(cm.readWaiters, c.ID)
+				w := cm.reads[i]
+				cm.reads[i] = readWaiter{}
 				cm.freeMsg(c)
 				cm.scheduleReadDone(cm.ca.Read(g.Page, w.g.Off), w.fn, cm.mem.Read(g.Page, w.g.Off))
 				continue
@@ -290,21 +273,25 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 	// update may have died inside the crashed node. A write that was in
 	// fact still propagating among live copies delivers a stale ack
 	// later, which finishWrite tolerates on crash runs.
-	if len(cm.pending) > 0 {
-		var ids []uint64
-		for id, g := range cm.pending {
-			if affected(g) && !resentPids[id] {
-				ids = append(ids, id)
-			}
+	var ids []uint64
+	for _, id := range cm.pendingIDs(affected) {
+		if !resentPids[id] {
+			ids = append(ids, id)
 		}
-		sortIDs(ids)
-		for _, id := range ids {
-			if _, ok := cm.pending[id]; !ok {
-				continue // batch member retired by its lead id
-			}
-			cm.st.ForcedRetires++
-			cm.retireWrite(id)
+	}
+	cm.forceRetire(ids)
+}
+
+// forceRetire retires the pending writes ids (ascending) whose
+// acknowledgement died with a crashed node, skipping any a batch lead
+// earlier in the list already retired.
+func (cm *CM) forceRetire(ids []uint64) {
+	for _, id := range ids {
+		if cm.pendingSlot(id) < 0 {
+			continue // batch member retired by its lead id
 		}
+		cm.st.ForcedRetires++
+		cm.retireWrite(id)
 	}
 }
 
@@ -312,13 +299,10 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 // rerouting reads whose target frame was lost. Deterministic: waiters
 // are processed in id order.
 func (cm *CM) reissueReads(keep func(uint64, readWaiter) bool) {
-	if len(cm.readWaiters) == 0 {
-		return
-	}
-	ids := make([]uint64, 0, len(cm.readWaiters))
-	for id, w := range cm.readWaiters {
-		if keep(id, w) {
-			ids = append(ids, id)
+	var ids []uint64
+	for _, w := range cm.reads {
+		if w.id != 0 && keep(w.id, w) {
+			ids = append(ids, w.id)
 		}
 	}
 	sortIDs(ids)
@@ -332,7 +316,8 @@ func (cm *CM) reissueReads(keep func(uint64, readWaiter) bool) {
 // table if the target frame was lost to a crash. A reroute that lands
 // on this node is served locally.
 func (cm *CM) reissueRead(id uint64) {
-	w := cm.readWaiters[id]
+	i := cm.readSlot(id)
+	w := cm.reads[i]
 	cm.st.ReissuedOps++
 	g := w.g
 	if cm.router != nil {
@@ -341,7 +326,7 @@ func (cm *CM) reissueRead(id uint64) {
 		}
 	}
 	if g.Node == cm.self {
-		delete(cm.readWaiters, id)
+		cm.reads[i] = readWaiter{}
 		cm.scheduleReadDone(cm.ca.Read(g.Page, g.Off), w.fn, cm.mem.Read(g.Page, g.Off))
 		return
 	}

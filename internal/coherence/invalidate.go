@@ -71,8 +71,8 @@ func (cm *CM) applyInvalidations(frame memory.PPage, ws []wordWrite) {
 // cost is exactly a remote blocking read — the §2.2 "cost of cache
 // misses" the update protocol avoids.
 func (cm *CM) readInvalidated(g GAddr, done func(memory.Word)) {
-	mg, ok := cm.master[g.Page]
-	if !ok || mg.Node == cm.self {
+	e := cm.frame(g.Page)
+	if e == nil || e.master.Node == cm.self {
 		// Master local: nothing can be stale here.
 		cm.scheduleReadDone(cm.tm.LocalMemRead, done, cm.mem.Read(g.Page, g.Off))
 		return
@@ -81,12 +81,12 @@ func (cm *CM) readInvalidated(g GAddr, done func(memory.Word)) {
 	cm.node().InvalidateMisses++
 	id := cm.nextID
 	cm.nextID++
-	cm.readWaiters[id] = readWaiter{g: g, fn: func(v memory.Word) {
+	cm.addRead(readWaiter{id: id, g: g, fn: func(v memory.Word) {
 		cm.repair(g.Page, g.Off, v)
 		done(v)
-	}}
+	}})
 	m := cm.newMsg(kReadReq, cm.self, id)
-	m.Page, m.Off = mg.Page, g.Off
-	m.Dst = mg.Node
+	m.Page, m.Off = e.master.Page, g.Off
+	m.Dst = e.master.Node
 	cm.eng.ScheduleEvent(cm.tm.RemoteReadOverhead, cm, ckSend, m)
 }

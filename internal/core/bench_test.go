@@ -59,3 +59,40 @@ func BenchmarkSyncVerifyRunToBlock(b *testing.B) {
 func BenchmarkSyncVerifySwitchOnSync(b *testing.B) {
 	benchSyncLoop(b, proc.SwitchOnSync, 40)
 }
+
+// BenchmarkPrefault times Prefault in the serving workload's shape: a
+// 16x16 machine with two record pages homed on each node plus one
+// counter page, every node prefaulting all 513 pages. Each mapping
+// install also fills the node's TLB, so this is the set-up path the
+// page table and TLB dominate. The machine is built with the timer
+// stopped.
+func BenchmarkPrefault(b *testing.B) {
+	const side, perNode = 16, 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg := DefaultConfig(side, side)
+		cfg.NetContention = true
+		m, err := NewMachine(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes := m.Nodes()
+		homes := make([]mesh.NodeID, nodes*perNode)
+		for p := range homes {
+			homes[p] = mesh.NodeID(p / perNode)
+		}
+		records := m.AllocHomed(homes...)
+		counters := m.Alloc(mesh.NodeID(nodes-1), 1)
+		b.StartTimer()
+		for n := 0; n < nodes; n++ {
+			m.Prefault(mesh.NodeID(n), records, len(homes))
+			m.Prefault(mesh.NodeID(n), counters, 1)
+		}
+		b.StopTimer()
+		if got := m.tables[0].Len(); got != len(homes)+1 {
+			b.Fatalf("node 0 maps %d pages, want %d", got, len(homes)+1)
+		}
+		b.StartTimer()
+	}
+}

@@ -446,6 +446,7 @@ func (m *Machine) ReplicateRange(va memory.VAddr, npages int, nodes ...mesh.Node
 // choice the lazy fill would make is installed, so only the 2000-cycle
 // charge differs from faulting lazily.
 func (m *Machine) Prefault(node mesh.NodeID, va memory.VAddr, npages int) {
+	m.tables[node].Reserve(npages)
 	for i := 0; i < npages; i++ {
 		vp := va.Page() + memory.VPage(i)
 		if _, ok := m.tables[node].Lookup(vp); ok {

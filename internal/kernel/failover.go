@@ -96,8 +96,8 @@ func (k *Kernel) FailNode(n mesh.NodeID) {
 	// inside the crashed node.
 	affected := make(map[memory.GPage]bool)
 	rejoin := []memory.VPage{}
-	for vp := memory.VPage(0); vp < k.nextVPage; vp++ {
-		list := k.copyLists[vp]
+	for p, list := range k.copyLists {
+		vp := memory.VPage(p)
 		idx := -1
 		for i, g := range list {
 			if g.Node == n {

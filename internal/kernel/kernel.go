@@ -35,10 +35,11 @@ type Kernel struct {
 	tm     timing.Timing
 	st     *stats.Machine
 
-	// copyLists is the centralized table: virtual page → ordered
-	// copy-list, master copy first.
-	copyLists map[memory.VPage][]memory.GPage
-	nextVPage memory.VPage
+	// copyLists is the centralized table, indexed by virtual page: each
+	// page's ordered copy-list, master copy first. AllocPage hands out
+	// virtual pages densely from 0 machine-wide, so every index below
+	// len(copyLists) is an allocated page.
+	copyLists [][]memory.GPage
 
 	// Competitive replication (§2.4): per-(node, page) remote reference
 	// counters maintained by hardware; when one overflows the
@@ -100,7 +101,6 @@ func New(eng *sim.Engine, net *mesh.Mesh, cms []*coherence.CM, mems []*memory.Me
 		tables:      tables,
 		tm:          tm,
 		st:          st,
-		copyLists:   make(map[memory.VPage][]memory.GPage),
 		refCounts:   refs,
 		replicating: repl,
 	}
@@ -146,12 +146,11 @@ func (k *Kernel) SetCompetitiveThreshold(threshold uint64) {
 // the given node and returns its page number. The home mapping is
 // installed eagerly; other nodes fill lazily on first touch.
 func (k *Kernel) AllocPage(home mesh.NodeID) memory.VPage {
-	vp := k.nextVPage
-	k.nextVPage++
+	vp := memory.VPage(len(k.copyLists))
 	frame := k.mems[home].AllocFrame()
 	gp := memory.GPage{Node: home, Page: frame}
 	k.cms[home].InstallPage(frame, gp, memory.NilGPage)
-	k.copyLists[vp] = []memory.GPage{gp}
+	k.copyLists = append(k.copyLists, []memory.GPage{gp})
 	k.tables[home].Install(vp, gp)
 	return vp
 }
@@ -169,15 +168,18 @@ func (k *Kernel) AllocPages(home mesh.NodeID, n int) memory.VPage {
 	return base
 }
 
-// CopyList returns the page's copy-list (master first). The returned
-// slice must not be mutated.
+// CopyList returns the page's copy-list (master first), or nil for a
+// page never allocated. The returned slice must not be mutated.
 func (k *Kernel) CopyList(vp memory.VPage) []memory.GPage {
+	if uint(vp) >= uint(len(k.copyLists)) {
+		return nil
+	}
 	return k.copyLists[vp]
 }
 
 // CopyNodes returns the nodes holding copies of vp, master first.
 func (k *Kernel) CopyNodes(vp memory.VPage) []mesh.NodeID {
-	list := k.copyLists[vp]
+	list := k.CopyList(vp)
 	nodes := make([]mesh.NodeID, len(list))
 	for i, g := range list {
 		nodes[i] = g.Node
@@ -187,7 +189,7 @@ func (k *Kernel) CopyNodes(vp memory.VPage) []mesh.NodeID {
 
 // HasCopy reports whether node holds a copy of vp.
 func (k *Kernel) HasCopy(vp memory.VPage, node mesh.NodeID) bool {
-	for _, g := range k.copyLists[vp] {
+	for _, g := range k.CopyList(vp) {
 		if g.Node == node {
 			return true
 		}
@@ -199,7 +201,7 @@ func (k *Kernel) HasCopy(vp memory.VPage, node mesh.NodeID) bool {
 // convenient (closest) physical copy of vp for the requesting node.
 // The caller charges the fault cost and installs the mapping.
 func (k *Kernel) Resolve(node mesh.NodeID, vp memory.VPage) (memory.GPage, error) {
-	list := k.copyLists[vp]
+	list := k.CopyList(vp)
 	if len(list) == 0 {
 		return memory.NilGPage, fmt.Errorf("kernel: virtual page %d not mapped", vp)
 	}
@@ -242,7 +244,7 @@ func (k *Kernel) ReplicateNow(vp memory.VPage, node mesh.NodeID) {
 	if k.HasCopy(vp, node) {
 		return
 	}
-	list := k.copyLists[vp]
+	list := k.CopyList(vp)
 	if len(list) == 0 {
 		panic(fmt.Sprintf("kernel: replicate of unmapped page %d", vp))
 	}
@@ -273,7 +275,7 @@ func (k *Kernel) Replicate(vp memory.VPage, node mesh.NodeID, done func()) {
 		}
 		return
 	}
-	list := k.copyLists[vp]
+	list := k.CopyList(vp)
 	if len(list) == 0 {
 		panic(fmt.Sprintf("kernel: replicate of unmapped page %d", vp))
 	}
@@ -307,7 +309,7 @@ func (k *Kernel) Replicate(vp memory.VPage, node mesh.NodeID, done func()) {
 // splice links gp into vp's copy-list at position pos, updating the
 // hardware master/next-copy tables on the predecessor and new node.
 func (k *Kernel) splice(vp memory.VPage, pos int, gp memory.GPage) {
-	list := k.copyLists[vp]
+	list := k.CopyList(vp)
 	master := list[0]
 	pred := list[pos-1]
 	next := memory.NilGPage
@@ -340,7 +342,7 @@ func (k *Kernel) DeleteCopy(vp memory.VPage, node mesh.NodeID) {
 			panic("kernel: DeleteCopy while writes are in flight")
 		}
 	}
-	list := k.copyLists[vp]
+	list := k.CopyList(vp)
 	idx := -1
 	for i, g := range list {
 		if g.Node == node {
@@ -457,7 +459,7 @@ func (k *Kernel) RefCount(node mesh.NodeID, vp memory.VPage) uint64 {
 // initialization before a run.
 func (k *Kernel) Poke(va memory.VAddr, v memory.Word) {
 	vp, off := va.Page(), va.Offset()
-	list := k.copyLists[vp]
+	list := k.CopyList(vp)
 	if len(list) == 0 {
 		panic(fmt.Sprintf("kernel: Poke of unmapped page %d", vp))
 	}
@@ -470,7 +472,7 @@ func (k *Kernel) Poke(va memory.VAddr, v memory.Word) {
 // the protocol and simulated time. For result extraction after a run.
 func (k *Kernel) Peek(va memory.VAddr) memory.Word {
 	vp, off := va.Page(), va.Offset()
-	list := k.copyLists[vp]
+	list := k.CopyList(vp)
 	if len(list) == 0 {
 		panic(fmt.Sprintf("kernel: Peek of unmapped page %d", vp))
 	}
@@ -478,7 +480,7 @@ func (k *Kernel) Peek(va memory.VAddr) memory.Word {
 }
 
 // PageCount returns the number of virtual pages allocated so far.
-func (k *Kernel) PageCount() int { return int(k.nextVPage) }
+func (k *Kernel) PageCount() int { return len(k.copyLists) }
 
 // CopiesInFlight returns the number of background page replications
 // whose bulk data copy is still travelling.

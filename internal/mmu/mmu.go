@@ -9,6 +9,8 @@
 package mmu
 
 import (
+	"maps"
+
 	"plus/internal/memory"
 )
 
@@ -18,7 +20,10 @@ import (
 // reports which level hit.
 type Table struct {
 	entries map[memory.VPage]memory.GPage
-	tlb     *TLB
+	// room is the size entries was last made for (Reserve): the map
+	// holds that many mappings without growing.
+	room int
+	tlb  TLB
 	// Faults counts lazy fills (misses resolved through the kernel).
 	Faults uint64
 	// Flushes counts whole-table invalidations (TLB shootdowns on copy
@@ -39,14 +44,13 @@ func New() *Table {
 
 // NewSized returns an empty page table with a TLB of tlbEntries.
 func NewSized(tlbEntries int) *Table {
-	return &Table{
-		entries: make(map[memory.VPage]memory.GPage),
-		tlb:     NewTLB(tlbEntries),
-	}
+	t := &Table{entries: make(map[memory.VPage]memory.GPage)}
+	t.tlb.init(tlbEntries)
+	return t
 }
 
 // TLB exposes the hardware translation cache.
-func (t *Table) TLB() *TLB { return t.tlb }
+func (t *Table) TLB() *TLB { return &t.tlb }
 
 // Translate performs the hardware translation sequence: TLB first,
 // then the page table (refilling the TLB on a table hit). tlbHit
@@ -90,8 +94,22 @@ func (t *Table) Invalidate(p memory.VPage) {
 // Flush drops every mapping and the whole TLB, forcing lazy refills.
 func (t *Table) Flush() {
 	t.entries = make(map[memory.VPage]memory.GPage)
+	t.room = 0
 	t.tlb.Flush()
 	t.Flushes++
+}
+
+// Reserve makes room for n more mappings, so a bulk fill (core's
+// Prefault) sizes the table once instead of growing it step by step.
+// It does nothing when the table already has the room.
+func (t *Table) Reserve(n int) {
+	if n <= 0 || len(t.entries)+n <= t.room {
+		return
+	}
+	t.room = len(t.entries) + n
+	m := make(map[memory.VPage]memory.GPage, t.room)
+	maps.Copy(m, t.entries)
+	t.entries = m
 }
 
 // Len returns the number of live mappings.
